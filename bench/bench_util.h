@@ -2,7 +2,7 @@
 //
 // Each bench binary regenerates one table or figure of the thesis's Chapter 8 evaluation and
 // prints it in a paper-style layout. Metrics are *simulated time*, driven by the Chapter-7
-// cost model; see DESIGN.md and EXPERIMENTS.md for the paper-vs-measured comparison.
+// cost model in src/model/, so they move only when the protocol or the model changes.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 

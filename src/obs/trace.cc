@@ -107,7 +107,11 @@ void RequestTracer::set_slow_threshold(SimTime t) {
 }
 
 void RequestTracer::InstallMetrics(MetricsRegistry* registry) {
-  MutexLock lock(mu_);
+  // The registry lock is never taken under mu_: exports fire the probes below under the
+  // registry lock, and those take mu_, so nesting the other way would invert the order.
+  // Histograms resolve into locals first, publish under mu_, and probes register after.
+  Histogram* delta_hist[kNumTraceKinds][kNumTracePhases - 1] = {};
+  Histogram* total_hist[kNumTraceKinds] = {};
   for (int k = 0; k < kNumTraceKinds; ++k) {
     TraceKind kind = static_cast<TraceKind>(k);
     const char* family =
@@ -120,9 +124,18 @@ void RequestTracer::InstallMetrics(MetricsRegistry* registry) {
     for (int p = 0; p + 1 < phases; ++p) {
       std::string labels = kind_label + "phase=\"" + TracePhaseLabel(kind, p) + "_to_" +
                            TracePhaseLabel(kind, p + 1) + "\"";
-      delta_hist_[k][p] = registry->GetHistogram(family, labels);
+      delta_hist[k][p] = registry->GetHistogram(family, labels);
     }
-    total_hist_[k] = registry->GetHistogram(family, kind_label + "phase=\"total\"");
+    total_hist[k] = registry->GetHistogram(family, kind_label + "phase=\"total\"");
+  }
+  {
+    MutexLock lock(mu_);
+    for (int k = 0; k < kNumTraceKinds; ++k) {
+      for (int p = 0; p + 1 < kNumTracePhases; ++p) {
+        delta_hist_[k][p] = delta_hist[k][p];
+      }
+      total_hist_[k] = total_hist[k];
+    }
   }
   if (registry == &MetricsRegistry::Process()) {
     return;  // probes capture `this`; the process registry outlives any tracer

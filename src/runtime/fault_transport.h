@@ -1,6 +1,6 @@
 // Fault-injecting transport decorator for the real-clock runtime.
 //
-// Wraps any Transport (udp, io_uring, inproc — and stacks under the formation layer) and
+// Wraps any Transport (udp, inproc — and stacks under the formation layer) and
 // injects per-link drop / delay / duplicate / reorder / corrupt faults plus bidirectional
 // partitions, driven by a deterministic seeded schedule. The paper's correctness argument
 // (Castro & Liskov, OSDI'99 §4.4–4.6) is exactly a claim about behavior under these faults;
@@ -13,8 +13,9 @@
 //  - Fault decisions happen on the SEND side, where both link endpoints are known (datagrams
 //    carry no sender identity, so a receive-side decorator could not be per-link).
 //  - Delayed/reordered datagrams are delivered by a private timer thread straight into the
-//    destination's registered MessageSink — never through inner_->Send, which io_uring
-//    restricts to the source node's own loop thread (single-issuer contract). Skipping the
+//    destination's registered MessageSink, not through inner_->Send. A held datagram is
+//    already on the wire, so it must still arrive after its sender crashes and unregisters —
+//    and by then the sender's socket, which inner_->Send would need, is gone. Skipping the
 //    inner hop is semantically fine: the faults model the wire, and the sink is where the
 //    wire terminates.
 //  - Determinism: each (src, dst) link owns an Rng seeded from (seed, src, dst), consumed
@@ -103,13 +104,9 @@ class FaultTransport final : public Transport {
   void Unregister(NodeId id) override;
   void Send(NodeId src, NodeId dst, MsgBuffer message) override;
   void Multicast(NodeId src, const std::vector<NodeId>& dsts, const MsgBuffer& message) override;
-  void Flush(NodeId src) override { inner_->Flush(src); }
   void InstallMetrics(MetricsRegistry* registry) override;
   int ReceiveFd(NodeId id) const override { return inner_->ReceiveFd(id); }
   void Drain(NodeId id) override { inner_->Drain(id); }
-  int Park(NodeId src, int doorbell_fd, SimTime wait_ns) override {
-    return inner_->Park(src, doorbell_fd, wait_ns);
-  }
 
  private:
   static constexpr size_t kMaxLogEvents = 1 << 16;

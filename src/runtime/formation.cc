@@ -204,38 +204,34 @@ void FormationTransport::Multicast(NodeId src, const std::vector<NodeId>& dsts,
 }
 
 void FormationTransport::Flush(NodeId src) {
-  {
-    ReaderMutexLock lock(mu_);
-    auto it = states_.find(src);
-    if (it != states_.end()) {
-      SourceState& state = *it->second;
-      bool queues_empty = true;
-      for (const auto& [dst, queue] : state.queues) {
-        if (!queue.frames.empty()) {
-          queues_empty = false;
-          break;
-        }
-      }
-      if (queues_empty && state.multicasts.size() == 1) {
-        // Idle fast path: the iteration produced exactly one multicast and nothing else —
-        // the dominant shape at low load (a pre-prepare, a prepare, a commit). Hand it to
-        // the inner fan-out unframed, preserving the single-syscall shared-buffer path.
-        PendingMulticast m = std::move(state.multicasts.front());
-        state.multicasts.clear();
-        obs_.frames_per_datagram->Record(1);
-        obs_.passthrough_multicast->Inc();
-        inner_->Multicast(src, m.dsts, m.message);
-      } else if (!queues_empty || !state.multicasts.empty()) {
-        FoldMulticastsLocked(src, state);
-        for (auto& [dst, queue] : state.queues) {
-          EmitQueueLocked(src, dst, queue, obs_.flush_idle);
-        }
-      }
+  ReaderMutexLock lock(mu_);
+  auto it = states_.find(src);
+  if (it == states_.end()) {
+    return;
+  }
+  SourceState& state = *it->second;
+  bool queues_empty = true;
+  for (const auto& [dst, queue] : state.queues) {
+    if (!queue.frames.empty()) {
+      queues_empty = false;
+      break;
     }
   }
-  // Always propagated: a batching inner backend (io_uring) submits its staged sends here
-  // even when formation itself had nothing queued.
-  inner_->Flush(src);
+  if (queues_empty && state.multicasts.size() == 1) {
+    // Idle fast path: the iteration produced exactly one multicast and nothing else — the
+    // dominant shape at low load (a pre-prepare, a prepare, a commit). Hand it to the inner
+    // fan-out unframed, preserving the single-syscall shared-buffer path.
+    PendingMulticast m = std::move(state.multicasts.front());
+    state.multicasts.clear();
+    obs_.frames_per_datagram->Record(1);
+    obs_.passthrough_multicast->Inc();
+    inner_->Multicast(src, m.dsts, m.message);
+  } else if (!queues_empty || !state.multicasts.empty()) {
+    FoldMulticastsLocked(src, state);
+    for (auto& [dst, queue] : state.queues) {
+      EmitQueueLocked(src, dst, queue, obs_.flush_idle);
+    }
+  }
 }
 
 int FormationTransport::ReceiveFd(NodeId id) const { return inner_->ReceiveFd(id); }

@@ -45,12 +45,10 @@ RtNode::~RtNode() {
 }
 
 void RtNode::Close() {
-  // Order matters: a loop parked inside the transport (Park waits in the kernel holding the
-  // transport's shared state) must be woken and joined before Unregister tears that state
-  // down — Stop's doorbell does exactly that. Deliveries that land between the join and
-  // Unregister just sit in the mutex-guarded inbox of a loop that will never run again.
-  // Both steps are idempotent — the destructor re-runs them harmlessly after an explicit
-  // Close().
+  // Order matters: the loop is joined before Unregister closes the transport state it polls
+  // and drains (the UDP socket). Deliveries that land between the join and Unregister just
+  // sit in the mutex-guarded inbox of a loop that will never run again. Both steps are
+  // idempotent — the destructor re-runs them harmlessly after an explicit Close().
   Stop();
   transport_->Unregister(id());
 }
@@ -265,39 +263,25 @@ void RtNode::Loop() {
       lock.Lock();
       continue;
     }
-    // 4. Nothing runnable: flush the transport, then park until the next timer deadline.
-    // The flush is the formation layer's trigger — it emits whatever the handlers above
-    // packed this iteration; it runs after sleeping_ is set (a reply racing back before the
-    // park still rings the doorbell, which is level-readable, so the wakeup is never lost)
+    // 4. Nothing runnable: flush the transport, then park in ppoll over the doorbell eventfd
+    // and (if the transport is loop-driven, e.g. UDP) the receive socket until the next timer
+    // deadline. The flush is the formation layer's trigger — it emits whatever the handlers
+    // above packed this iteration; it runs after sleeping_ is set (a reply racing back before
+    // the park still rings the doorbell, which is level-readable, so the wakeup is never lost)
     // and outside mu_ (an in-process delivery to a peer must not nest our lock under the
     // transport's).
     sleeping_ = true;
-    SimTime wait_ns = Transport::kParkNoDeadline;
+    timespec ts{};
+    timespec* timeout = nullptr;  // no timer armed: sleep until a datagram or the doorbell
     if (!schedule_.empty()) {
       SimTime now = Now();
-      wait_ns = schedule_.begin()->first > now ? schedule_.begin()->first - now : 0;
+      SimTime wait_ns = schedule_.begin()->first > now ? schedule_.begin()->first - now : 0;
+      ts.tv_sec = static_cast<time_t>(wait_ns / 1000000000);
+      ts.tv_nsec = static_cast<long>(wait_ns % 1000000000);
+      timeout = &ts;
     }
     lock.Unlock();
     transport_->Flush(id());
-    // A transport with a combined submit-and-wait (io_uring) parks the whole iteration in
-    // one syscall: staged sends submit, and the wake (datagram completion, doorbell, or
-    // timeout) arrives through the same ring. Deliveries then happen in Drain below, after
-    // sleeping_ clears, so our own enqueues never write the eventfd.
-    int parked = transport_->Park(id(), wake_fd_, wait_ns);
-    if (parked >= 0) {
-      if ((parked & Transport::kParkDoorbell) != 0) {
-        uint64_t drained;
-        [[maybe_unused]] ssize_t n = ::read(wake_fd_, &drained, sizeof(drained));
-      }
-      lock.Lock();
-      sleeping_ = false;
-      lock.Unlock();
-      transport_->Drain(id());
-      lock.Lock();
-      continue;
-    }
-    // Fallback: ppoll over the doorbell eventfd and (if the transport is loop-driven, e.g.
-    // UDP) the receive socket.
     pollfd fds[2];
     fds[0] = {wake_fd_, POLLIN, 0};
     nfds_t nfds = 1;
@@ -305,13 +289,6 @@ void RtNode::Loop() {
     if (recv_fd >= 0) {
       fds[1] = {recv_fd, POLLIN, 0};
       nfds = 2;
-    }
-    timespec ts;
-    timespec* timeout = nullptr;
-    if (wait_ns != Transport::kParkNoDeadline) {
-      ts.tv_sec = static_cast<time_t>(wait_ns / 1000000000);
-      ts.tv_nsec = static_cast<long>(wait_ns % 1000000000);
-      timeout = &ts;
     }
     int ready = ::ppoll(fds, nfds, timeout, nullptr);
     if (ready > 0 && (fds[0].revents & POLLIN) != 0) {

@@ -171,14 +171,12 @@ class RecordingTransport final : public Transport {
     }
     ++multicast_calls;
   }
-  void Flush(NodeId src) override { ++flush_calls; }
 
   // Test-side delivery: what the wire would hand to dst's sink.
   void Deliver(NodeId dst, MsgBuffer message) { sinks_.at(dst)->EnqueueMessage(std::move(message)); }
 
   std::vector<Sent> sent;
   int multicast_calls = 0;
-  int flush_calls = 0;
 
  private:
   std::map<NodeId, MessageSink*> sinks_;
@@ -221,7 +219,6 @@ TEST(FormationTransportTest, IdleSingleSendPassesThroughUnframed) {
   ASSERT_EQ(h.inner->sent.size(), 1u);
   // Byte-identical to the unformed transport — no magic, no framing.
   EXPECT_EQ(ToString(h.inner->sent[0].message.view()), "lonely");
-  EXPECT_EQ(h.inner->flush_calls, 1);  // the idle barrier always reaches the inner backend
   EXPECT_EQ(h.CounterValue("bft_formation_flush_total", "reason=\"idle\""), 1u);
 }
 
@@ -331,15 +328,6 @@ TEST(FormationTransportTest, ReceiveSideCountsMalformedTailsButKeepsLeadingFrame
   h.inner->Deliver(2, MsgBuffer(std::move(wire)));
   EXPECT_EQ(h.sink2.received, (std::vector<std::string>{"good"}));
   EXPECT_EQ(h.CounterValue("bft_formation_decode_errors_total"), 1u);
-}
-
-TEST(FormationTransportTest, FlushWithNothingQueuedStillReachesInner) {
-  Harness h;
-  h.formation->Flush(1);
-  EXPECT_TRUE(h.inner->sent.empty());
-  // The inner backend may have *its own* staged work (io_uring sends): the barrier must
-  // always propagate.
-  EXPECT_EQ(h.inner->flush_calls, 1);
 }
 
 TEST(FormationTransportTest, UnregisteredSourceBypassesQueues) {

@@ -16,7 +16,7 @@
 //
 // Usage: bft_chaos [--scenario all|primary_crash|partition_heal|drop10|corrupt_burst|
 //                   rolling_restart|random]
-//                  [--seed S] [--io-backend udp|uring|inproc] [--formation] [--clients C]
+//                  [--seed S] [--io-backend udp|inproc] [--formation] [--clients C]
 //                  [--random-rounds N] [--recovery-window-s W] [--list]
 //                  [--metrics-json PATH] [--trace-sample N]
 //
@@ -25,8 +25,7 @@
 // Once a scenario fails the file stops being overwritten — a chaos failure ships with the
 // failing run's phase histograms and fault counters attached, not a later passing run's.
 //
-// Exit status: 0 when every selected scenario passes (or --io-backend=uring is unsupported,
-// which prints SKIP), 1 on any safety or liveness failure.
+// Exit status: 0 when every selected scenario passes, 1 on any safety or liveness failure.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -40,6 +39,7 @@
 #include "src/obs/export.h"
 #include "src/runtime/rt_cluster.h"
 #include "src/service/kv_service.h"
+#include "tools/flags.h"
 
 namespace bft {
 namespace {
@@ -47,33 +47,6 @@ namespace {
 // An Execute that outlives this has genuinely wedged: every scenario heals within a few
 // seconds and retransmission re-probes at least every max_client_retry_timeout.
 constexpr SimTime kOpTimeout = 60 * kSecond;
-
-const char* FlagString(int argc, char** argv, const char* name, const char* fallback) {
-  size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (std::strncmp(argv[i], name, name_len) == 0 && argv[i][name_len] == '=') {
-      return argv[i] + name_len + 1;
-    }
-  }
-  return fallback;
-}
-
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t fallback) {
-  const char* s = FlagString(argc, argv, name, nullptr);
-  return s != nullptr ? std::strtoull(s, nullptr, 10) : fallback;
-}
-
-bool FlagPresent(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -346,7 +319,7 @@ void ScenarioPartitionHeal(ChaosHarness& h) {
 }
 
 void ScenarioDrop10(ChaosHarness& h) {
-  // Sustained 10% loss on every link. Liveness must hold DURING the fault — this is the
+  // Sustained 10% loss on every link. Liveness must hold WHILE the fault lasts — this is the
   // paper's operating regime, not an outage — so require progress before clearing.
   FaultSpec spec;
   spec.drop = 0.10;
@@ -531,18 +504,9 @@ int main(int argc, char** argv) {
   uint64_t trace_sample =
       FlagValue(argc, argv, "--trace-sample", metrics_json != nullptr ? 16 : 0);
 
-  RtClusterOptions::TransportKind kind;
-  if (std::strcmp(io_backend, "inproc") == 0) {
-    kind = RtClusterOptions::TransportKind::kInProc;
-  } else if (std::strcmp(io_backend, "uring") == 0) {
-    if (!IoUringTransport::Supported()) {
-      std::printf("SKIP: io_uring unavailable on this kernel/build\n");
-      return 0;
-    }
-    kind = RtClusterOptions::TransportKind::kUring;
-  } else {
-    kind = RtClusterOptions::TransportKind::kUdp;
-  }
+  RtClusterOptions::TransportKind kind = std::strcmp(io_backend, "inproc") == 0
+                                            ? RtClusterOptions::TransportKind::kInProc
+                                            : RtClusterOptions::TransportKind::kUdp;
 
   std::vector<std::string> selected;
   if (std::strcmp(scenario, "all") == 0) {

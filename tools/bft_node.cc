@@ -4,8 +4,8 @@
 // that the protocol core runs outside the simulator — real sockets, real clock, real threads.
 //
 // Usage: bft_node [--replicas N] [--clients C] [--ops K] [--transport udp|inproc] [--seed S]
-//                 [--io-backend udp|uring] [--formation] [--admin-port P] [--trace-sample N]
-//                 [--slow-ms M] [--metrics-json PATH]
+//                 [--formation] [--admin-port P] [--trace-sample N] [--slow-ms M]
+//                 [--metrics-json PATH]
 //                 [--fault-drop P] [--fault-delay-us N] [--fault-seed S] [--partition IDS]
 //                 [--crash-replica I] [--crash-at-op K] [--restart-at-op J]
 //
@@ -19,12 +19,11 @@
 //                       op K, restart it (empty state, rejoins via state transfer) before op J
 //
 // Transport selection:
-//   --io-backend udp|uring  socket backend for --transport udp (default udp). `uring` stages
-//                           sends on a per-node io_uring and submits them in one syscall per
-//                           loop iteration; falls back to plain UDP sockets (with a warning)
-//                           when the kernel or build lacks io_uring support.
+//   --transport udp|inproc  loopback UDP sockets (default) or the in-process channel.
 //   --formation             coalesce same-destination protocol messages into one framed
 //                           datagram per event-loop iteration (idle loops flush immediately).
+//
+// Every flag takes `--name value` or `--name=value`.
 //
 // Observability:
 //   --admin-port P     serve GET /metrics (Prometheus text), /metrics.json, /traces, and
@@ -46,35 +45,12 @@
 #include "src/obs/export.h"
 #include "src/runtime/rt_cluster.h"
 #include "src/service/kv_service.h"
+#include "tools/flags.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_dump_requested = 0;
 void OnSigUsr1(int) { g_dump_requested = 1; }
-
-// Flags accept both spellings: `--name value` and `--name=value`.
-const char* FlagString(int argc, char** argv, const char* name, const char* fallback) {
-  size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (std::strncmp(argv[i], name, name_len) == 0 && argv[i][name_len] == '=') {
-      return argv[i] + name_len + 1;
-    }
-  }
-  return fallback;
-}
-
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t fallback) {
-  const char* s = FlagString(argc, argv, name, nullptr);
-  return s != nullptr ? std::strtoull(s, nullptr, 10) : fallback;
-}
-
-double FlagDouble(int argc, char** argv, const char* name, double fallback) {
-  const char* s = FlagString(argc, argv, name, nullptr);
-  return s != nullptr ? std::strtod(s, nullptr) : fallback;
-}
 
 std::vector<bft::NodeId> ParseIdList(const char* csv) {
   std::vector<bft::NodeId> ids;
@@ -101,19 +77,10 @@ int main(int argc, char** argv) {
   options.seed = FlagValue(argc, argv, "--seed", 42);
   options.fault_seed = FlagValue(argc, argv, "--fault-seed", 0);
   const char* transport = FlagString(argc, argv, "--transport", "udp");
-  const char* io_backend = FlagString(argc, argv, "--io-backend", "udp");
-  if (std::strcmp(transport, "inproc") == 0) {
-    options.transport = RtClusterOptions::TransportKind::kInProc;
-  } else if (std::strcmp(io_backend, "uring") == 0) {
-    options.transport = RtClusterOptions::TransportKind::kUring;
-  } else {
-    options.transport = RtClusterOptions::TransportKind::kUdp;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--formation") == 0) {
-      options.formation = true;
-    }
-  }
+  options.transport = std::strcmp(transport, "inproc") == 0
+                          ? RtClusterOptions::TransportKind::kInProc
+                          : RtClusterOptions::TransportKind::kUdp;
+  options.formation = FlagPresent(argc, argv, "--formation");
   size_t num_clients = FlagValue(argc, argv, "--clients", 1);
   if (num_clients == 0) {
     num_clients = 1;  // --clients 0 (or unparsable) would divide by zero below
@@ -122,14 +89,8 @@ int main(int argc, char** argv) {
   uint64_t trace_sample = FlagValue(argc, argv, "--trace-sample", 0);
   uint64_t slow_ms = FlagValue(argc, argv, "--slow-ms", 0);
   const char* metrics_json = FlagString(argc, argv, "--metrics-json", "");
-  bool serve_admin = false;
-  uint64_t admin_port = 0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--admin-port") == 0) {
-      serve_admin = true;
-      admin_port = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  bool serve_admin = FlagString(argc, argv, "--admin-port", nullptr) != nullptr;
+  uint64_t admin_port = FlagValue(argc, argv, "--admin-port", 0);
 
   double fault_drop = FlagDouble(argc, argv, "--fault-drop", 0.0);
   uint64_t fault_delay_us = FlagValue(argc, argv, "--fault-delay-us", 0);
@@ -197,13 +158,6 @@ int main(int argc, char** argv) {
     for (int i = 0; i < options.config.n; ++i) {
       std::printf(" %u:%u", options.config.ReplicaId(i),
                   udp->PortOf(options.config.ReplicaId(i)));
-    }
-    std::printf("\n");
-  } else if (auto* uring = dynamic_cast<IoUringTransport*>(backend)) {
-    std::printf("%d replicas on io_uring loopback ports%s:", options.config.n, formed);
-    for (int i = 0; i < options.config.n; ++i) {
-      std::printf(" %u:%u", options.config.ReplicaId(i),
-                  uring->PortOf(options.config.ReplicaId(i)));
     }
     std::printf("\n");
   } else {
