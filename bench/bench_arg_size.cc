@@ -15,8 +15,7 @@ SimTime RunOne(size_t arg, bool separate_transmission) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_arg_size", argc, argv);
+int main() {
   PrintHeader("E2", "read-write latency vs argument size (a/0 operations)");
   std::printf("%-10s %22s %22s %10s\n", "arg (B)", "separate xmit (us)", "inline only (us)",
               "gain");
@@ -25,8 +24,6 @@ int main(int argc, char** argv) {
     SimTime without = RunOne(arg, false);
     std::printf("%-10zu %22.0f %22.0f %9.2fx\n", arg, ToUs(with), ToUs(without),
                 with > 0 ? static_cast<double>(without) / static_cast<double>(with) : 0.0);
-    json.Row("arg=" + std::to_string(arg), {{"arg_bytes", std::to_string(arg)}},
-             {{"separate_xmit_us", ToUs(with)}, {"inline_only_us", ToUs(without)}});
   }
   std::printf("\npaper shape checks:\n");
   std::printf("  - latency grows roughly linearly with argument size\n");

@@ -8,8 +8,7 @@
 
 using namespace bft;
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_bfs_andrew", argc, argv);
+int main() {
   PrintHeader("E10", "BFS vs unreplicated NFS-std: Andrew-style benchmark");
 
   AndrewScale scale;
@@ -42,19 +41,11 @@ int main(int argc, char** argv) {
     std::printf("%-8s %8lu %16.1f %16.1f %+11.0f%%\n", AndrewResult::PhaseName(p),
                 bfs.phase_ops[p], ToMs(bfs.phase_time[p]), ToMs(norep.phase_time[p]),
                 (ratio - 1.0) * 100.0);
-    json.Row(AndrewResult::PhaseName(p), {{"phase", AndrewResult::PhaseName(p)}},
-             {{"bfs_ms", ToMs(bfs.phase_time[p])},
-              {"nfs_std_ms", ToMs(norep.phase_time[p])},
-              {"overhead_pct", (ratio - 1.0) * 100.0}});
   }
   double total_ratio =
       static_cast<double>(bfs.total()) / static_cast<double>(norep.total());
   std::printf("%-8s %8s %16.1f %16.1f %+11.0f%%\n", "total", "", ToMs(bfs.total()),
               ToMs(norep.total()), (total_ratio - 1.0) * 100.0);
-  json.Row("total", {},
-           {{"bfs_ms", ToMs(bfs.total())},
-            {"nfs_std_ms", ToMs(norep.total())},
-            {"overhead_pct", (total_ratio - 1.0) * 100.0}});
 
   std::printf("\npaper shape checks:\n");
   std::printf("  - total overhead is a modest percentage, not a multiple (paper band:\n");

@@ -63,7 +63,6 @@ BENCHMARK(BM_TakeCheckpoint)
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchJson json("bench_checkpoint", argc, argv);
   PrintHeader("E7", "checkpoint creation cost (copy-on-write + incremental AdHash digests)");
 
   PerfModel model;
@@ -82,10 +81,6 @@ int main(int argc, char** argv) {
       cpu.EndEvent();
       std::printf("%-12zu %-14zu %20.0f %15.2f\n", mb, dirty, ToUs(cpu.total_busy()),
                   ToUs(cpu.total_busy()) / static_cast<double>(dirty));
-      json.Row("mb=" + std::to_string(mb) + ",dirty=" + std::to_string(dirty),
-               {{"state_mb", std::to_string(mb)}, {"dirty_pages", std::to_string(dirty)}},
-               {{"cost_us", ToUs(cpu.total_busy())},
-                {"per_dirty_page_us", ToUs(cpu.total_busy()) / static_cast<double>(dirty)}});
     }
   }
   std::printf("\npaper shape checks:\n");

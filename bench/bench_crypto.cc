@@ -11,8 +11,6 @@
 //
 // Wall-clock numbers; they move with the SHA backend (SHA-NI vs scalar) and the cache, not
 // with the simulator's cost model.
-//
-// Usage: bench_crypto [--ms N] [--json path]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -28,9 +26,11 @@
 namespace bft {
 namespace {
 
-// Runs `fn` repeatedly for ~`ms` milliseconds; returns calls per second.
+constexpr double kRateSeconds = 0.3;
+
+// Runs `fn` repeatedly for ~kRateSeconds; returns calls per second.
 template <typename Fn>
-double Rate(uint64_t ms, Fn&& fn) {
+double Rate(Fn&& fn) {
   using Clock = std::chrono::steady_clock;
   // Calibration pass keeps the clock out of the measured loop.
   uint64_t batch = 64;
@@ -40,8 +40,7 @@ double Rate(uint64_t ms, Fn&& fn) {
   }
   double per_call =
       std::chrono::duration<double>(Clock::now() - t0).count() / static_cast<double>(batch);
-  uint64_t calls = per_call > 0 ? static_cast<uint64_t>(static_cast<double>(ms) / 1000.0 /
-                                                        per_call) : 1;
+  uint64_t calls = per_call > 0 ? static_cast<uint64_t>(kRateSeconds / per_call) : 1;
   calls = calls < 1 ? 1 : calls;
   t0 = Clock::now();
   for (uint64_t i = 0; i < calls; ++i) {
@@ -54,17 +53,9 @@ double Rate(uint64_t ms, Fn&& fn) {
 }  // namespace
 }  // namespace bft
 
-int main(int argc, char** argv) {
+int main() {
   using namespace bft;
 
-  uint64_t ms = 300;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--ms") == 0) {
-      ms = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-
-  BenchJson json("bench_crypto", argc, argv);
   Rng rng(17);
   Bytes key = rng.RandomBytes(kSessionKeySize);
   // 48 bytes: the ballpark of an authenticated protocol header (AuthContent of a
@@ -83,14 +74,12 @@ int main(int argc, char** argv) {
   for (const DigestCase& c : {DigestCase{"digest-64B", 64}, DigestCase{"digest-1KB", 1024},
                               DigestCase{"digest-4KB", 4096}}) {
     Bytes payload = rng.RandomBytes(c.size);
-    double rate = Rate(ms, [&]() {
+    double rate = Rate([&]() {
       Digest d = ComputeDigest(payload);
       sink ^= d.bytes[0];
     });
     std::printf("%-24s %12.0f /s  (%6.1f MB/s)\n", c.name, rate,
                 rate * static_cast<double>(c.size) / 1e6);
-    json.Row(c.name, {{"payload_bytes", std::to_string(c.size)}},
-             {{"per_sec", rate}, {"mb_per_sec", rate * static_cast<double>(c.size) / 1e6}});
   }
 
   // The pre-PR hot path, reproduced verbatim: AuthContext::KeyFor serialized the derivation
@@ -99,7 +88,7 @@ int main(int argc, char** argv) {
   // SHA-256 this repo shipped before the hardware kernel. Scalar is forced for this row so
   // the number is what the pre-PR binary actually did.
   Sha256::ForceScalarForBenchmarks(true);
-  double uncached_mac = Rate(ms, [&]() {
+  double uncached_mac = Rate([&]() {
     Writer w;
     w.Str("bft-session-key-master");
     w.U32(0);
@@ -131,7 +120,7 @@ int main(int argc, char** argv) {
   Sha256::ForceScalarForBenchmarks(false);
   // Same per-call derivation, but on today's SHA backend (still no cache): isolates the
   // cache win from the hardware-kernel win.
-  double derive_mac = Rate(ms, [&]() {
+  double derive_mac = Rate([&]() {
     Writer w;
     w.Str("bft-session-key-master");
     w.U32(0);
@@ -142,12 +131,12 @@ int main(int argc, char** argv) {
     MacTag tag = ComputeMac(k, header);
     sink ^= tag.bytes[0];
   });
-  double schedule_mac = Rate(ms, [&]() {
+  double schedule_mac = Rate([&]() {
     MacTag tag = ComputeMac(key, header);
     sink ^= tag.bytes[0];
   });
   HmacState cached_state(key);
-  double cached_mac = Rate(ms, [&]() {
+  double cached_mac = Rate([&]() {
     MacTag tag = ComputeMac(cached_state, header);
     sink ^= tag.bytes[0];
   });
@@ -162,13 +151,5 @@ int main(int argc, char** argv) {
               derive_mac > 0 ? cached_mac / derive_mac : 0,
               schedule_mac > 0 ? cached_mac / schedule_mac : 0);
 
-  json.Row("mac-uncached", {{"header_bytes", "48"}}, {{"per_sec", uncached_mac}});
-  json.Row("mac-derive+schedule", {{"header_bytes", "48"}}, {{"per_sec", derive_mac}});
-  json.Row("mac-schedule-only", {{"header_bytes", "48"}}, {{"per_sec", schedule_mac}});
-  json.Row("mac-cached-state", {{"header_bytes", "48"}},
-           {{"per_sec", cached_mac},
-            {"speedup_vs_uncached", uncached_mac > 0 ? cached_mac / uncached_mac : 0},
-            {"speedup_vs_derive", derive_mac > 0 ? cached_mac / derive_mac : 0},
-            {"speedup_vs_schedule", schedule_mac > 0 ? cached_mac / schedule_mac : 0}});
   return 0;
 }

@@ -28,8 +28,7 @@ SimTime RunOne(AuthMode mode, const OpShape& shape, bool read_only) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_latency_micro", argc, argv);
+int main() {
   PrintHeader("E1", "latency of 0/0, 4/0, 0/4 operations (read-write and read-only)");
 
   const OpShape kShapes[] = {{"0/0", 0, 8}, {"4/0", 4096, 8}, {"0/4", 8, 4096}};
@@ -45,11 +44,6 @@ int main(int argc, char** argv) {
     std::printf("%-6s %14.0f %14.0f %14.0f %18.0f %11.1fx\n", shape.name, ToUs(mac_rw),
                 ToUs(mac_ro), ToUs(pk_rw), ToUs(norep),
                 mac_rw > 0 ? static_cast<double>(pk_rw) / static_cast<double>(mac_rw) : 0.0);
-    json.Row(shape.name, {{"op", shape.name}},
-             {{"bft_rw_us", ToUs(mac_rw)},
-              {"bft_ro_us", ToUs(mac_ro)},
-              {"bft_pk_rw_us", ToUs(pk_rw)},
-              {"unreplicated_us", ToUs(norep)}});
   }
 
   std::printf("\npaper shape checks:\n");

@@ -14,8 +14,7 @@ struct Case {
 };
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_model_vs_measured", argc, argv);
+int main() {
   PrintHeader("E12", "analytic performance model vs simulated measurement");
 
   PerfModel model;
@@ -49,9 +48,6 @@ int main(int argc, char** argv) {
                               : 0.0;
     std::printf("%-24s %16.0f %16.0f %+9.0f%%\n", c.name, ToUs(predicted), ToUs(measured),
                 err);
-    json.Row(c.name, {{"operation", c.name}},
-             {{"model_us", ToUs(predicted)}, {"measured_us", ToUs(measured)},
-              {"error_pct", err}});
   }
 
   std::printf("\n-- saturated throughput (20 clients, batching) --\n");
@@ -70,9 +66,6 @@ int main(int argc, char** argv) {
     double measured = load.Run(kSecond, 4 * kSecond).ops_per_second;
     double err = measured > 0 ? (predicted / measured - 1.0) * 100.0 : 0.0;
     std::printf("%-24s %16.0f %16.0f %+9.0f%%\n", "0/0 rw", predicted, measured, err);
-    json.Row("0/0 rw throughput", {{"operation", "0/0 rw"}},
-             {{"model_ops_per_s", predicted}, {"measured_ops_per_s", measured},
-              {"error_pct", err}});
   }
 
   std::printf("\npaper shape checks:\n");

@@ -35,8 +35,7 @@ double ThroughputFor(const Variant& v, uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_optimizations", argc, argv);
+int main() {
   PrintHeader("E5", "impact of the optimizations (ablation)");
 
   const Variant kVariants[] = {
@@ -57,8 +56,6 @@ int main(int argc, char** argv) {
     SimTime big = LatencyFor(v, 4096, 4096, seed++);
     double tput = ThroughputFor(v, seed++);
     std::printf("%-28s %16.0f %16.0f %18.0f\n", v.name, ToUs(small), ToUs(big), tput);
-    json.Row(v.name, {{"variant", v.name}},
-             {{"lat_0_0_us", ToUs(small)}, {"lat_4_4_us", ToUs(big)}, {"tput_ops_per_s", tput}});
   }
 
   std::printf("\npaper shape checks:\n");

@@ -9,10 +9,9 @@
 // executes them as batched live migrations (one ShardMap publish per batch). With a uniform
 // workload the planner should stay idle: the imbalance threshold gates any movement.
 //
-// All metrics are simulated time — deterministic, so CI gates on them (tools/diff_bench.py
-// --fail-on-regress over the sim benches).
+// All metrics are simulated time — deterministic, so CI diffs the whole stdout against
+// bench/expected/bench_rebalance.txt.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +29,10 @@ constexpr size_t kShards = 4;
 constexpr size_t kClients = 96;
 constexpr uint64_t kKeySpace = 256;  // distinct keys; mostly one hot key per hot bucket
 constexpr double kTheta = 0.99;       // YCSB-default Zipfian skew
+// Warmup covers the first planning rounds so the measured window is the rebalanced steady
+// state.
+constexpr SimTime kWarmup = 1500 * kMillisecond;
+constexpr SimTime kDuration = 3 * kSecond;
 
 ShardedClusterOptions ShardOptions(uint64_t seed) {
   ShardedClusterOptions options;
@@ -49,8 +52,7 @@ struct RunResult {
 // One measured run. `skewed` selects Zipfian vs uniform key popularity; `rebalance` arms the
 // controller for the whole run (it plans from the first interval, so moves land during
 // warmup and the measured window sees the rebalanced steady state plus any residual moves).
-RunResult RunOne(bool skewed, bool rebalance, SimTime warmup, SimTime duration,
-                 uint64_t seed) {
+RunResult RunOne(bool skewed, bool rebalance, uint64_t seed) {
   ShardedCluster cluster(ShardOptions(seed),
                          [](size_t, NodeId) { return std::make_unique<KvService>(); });
 
@@ -79,7 +81,7 @@ RunResult RunOne(bool skewed, bool rebalance, SimTime warmup, SimTime duration,
       /*read_only=*/false);
 
   RunResult out;
-  out.load = load.Run(warmup, duration);
+  out.load = load.Run(kWarmup, kDuration);
   if (controller != nullptr) {
     out.rebalance = controller->stats();
     controller->Stop();
@@ -89,29 +91,16 @@ RunResult RunOne(bool skewed, bool rebalance, SimTime warmup, SimTime duration,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_rebalance", argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    quick |= std::strcmp(argv[i], "--quick") == 0;
-  }
-  // Warmup covers the first planning rounds so the measured window is the rebalanced steady
-  // state; --quick (CI smoke) halves both.
-  SimTime warmup = quick ? 750 * kMillisecond : 1500 * kMillisecond;
-  SimTime duration = quick ? 1500 * kMillisecond : 3 * kSecond;
-
+int main() {
   PrintHeader("R1", "auto-rebalancer under Zipfian skew: throughput and tail vs static map");
   std::printf("%-10s %-10s %14s %14s %14s %8s %10s %8s\n", "skew", "rebalance",
               "agg (op/s)", "mean lat(us)", "p99 worst(ms)", "moved", "freeze(ms)", "plans");
 
-  struct Cell {
-    RunResult r;
-  };
-  Cell cells[2][2];  // [skewed][rebalance]
+  RunResult cells[2][2];  // [skewed][rebalance]
   for (int skewed = 0; skewed <= 1; ++skewed) {
     for (int rebalance = 0; rebalance <= 1; ++rebalance) {
-      RunResult r = RunOne(skewed != 0, rebalance != 0, warmup, duration, /*seed=*/4242);
-      cells[skewed][rebalance].r = r;
+      cells[skewed][rebalance] = RunOne(skewed != 0, rebalance != 0, /*seed=*/4242);
+      const RunResult& r = cells[skewed][rebalance];
       std::printf("%-10s %-10s %14.0f %14.1f %14.2f %8lu %10.2f %8lu\n",
                   skewed ? "zipf0.99" : "uniform", rebalance ? "on" : "off",
                   r.load.ops_per_second, ToUs(r.load.mean_latency),
@@ -119,31 +108,28 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long>(r.rebalance.buckets_moved),
                   ToMs(r.rebalance.total_freeze_time),
                   static_cast<unsigned long>(r.rebalance.plans_executed));
-      json.Row(std::string(skewed ? "zipf" : "uniform") + ",rebalance=" +
-                   (rebalance ? "on" : "off"),
-               {{"shards", std::to_string(kShards)},
-                {"clients", std::to_string(kClients)},
-                {"key_space", std::to_string(kKeySpace)},
-                {"theta", skewed ? "0.99" : "uniform"},
-                {"rebalance", rebalance ? "on" : "off"},
-                {"quick", quick ? "1" : "0"}},
-               {{"aggregate_ops_per_s", r.load.ops_per_second},
-                {"mean_latency_us", ToUs(r.load.mean_latency)},
-                {"worst_group_p99_ms", ToMs(r.load.max_group_p99())},
-                {"buckets_moved", static_cast<double>(r.rebalance.buckets_moved)},
-                {"freeze_time_ms", ToMs(r.rebalance.total_freeze_time)},
-                {"plans_executed", static_cast<double>(r.rebalance.plans_executed)},
-                {"publishes", static_cast<double>(r.rebalance.publishes)},
-                {"frozen_queued", static_cast<double>(r.load.frozen_queued)},
-                {"stale_reroutes", static_cast<double>(r.load.stale_reroutes)}});
     }
   }
 
-  double skew_off = cells[1][0].r.load.ops_per_second;
-  double skew_on = cells[1][1].r.load.ops_per_second;
-  double uniform_off = cells[0][0].r.load.ops_per_second;
-  double uniform_on = cells[0][1].r.load.ops_per_second;
-  uint64_t uniform_moves = cells[0][1].r.rebalance.buckets_moved;
+  // Map publishes and the router's view of the moves: ops queued behind a freeze window and
+  // stale-owner replies re-routed after a publish.
+  std::printf("\n%-10s %-10s %10s %14s %15s\n", "skew", "rebalance", "publishes",
+              "frozen_queued", "stale_reroutes");
+  for (int skewed = 0; skewed <= 1; ++skewed) {
+    for (int rebalance = 0; rebalance <= 1; ++rebalance) {
+      const RunResult& r = cells[skewed][rebalance];
+      std::printf("%-10s %-10s %10lu %14lu %15lu\n", skewed ? "zipf0.99" : "uniform",
+                  rebalance ? "on" : "off", static_cast<unsigned long>(r.rebalance.publishes),
+                  static_cast<unsigned long>(r.load.frozen_queued),
+                  static_cast<unsigned long>(r.load.stale_reroutes));
+    }
+  }
+
+  double skew_off = cells[1][0].load.ops_per_second;
+  double skew_on = cells[1][1].load.ops_per_second;
+  double uniform_off = cells[0][0].load.ops_per_second;
+  double uniform_on = cells[0][1].load.ops_per_second;
+  uint64_t uniform_moves = cells[0][1].rebalance.buckets_moved;
   double gain = skew_off > 0 ? skew_on / skew_off : 0.0;
 
   std::printf("\nshape checks:\n");

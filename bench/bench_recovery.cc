@@ -45,8 +45,7 @@ RecoveryRun RunOne(SimTime watchdog_period, SimTime duration) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_recovery", argc, argv);
+int main() {
   PrintHeader("E11", "throughput with proactive recovery vs watchdog period");
 
   SimTime duration = 50 * kSecond;
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
               "recov done/start", "mean recovery (ms)", "overhead");
   std::printf("%-22s %14.0f %16s %20s %10s\n", "off (baseline)", base.ops_per_second, "-",
               "-", "-");
-  json.Row("watchdog=off", {{"watchdog_s", "off"}},
-           {{"tput_ops_per_s", base.ops_per_second}});
   for (SimTime period : {12 * kSecond, 24 * kSecond, 48 * kSecond}) {
     RecoveryRun r = RunOne(period, duration);
     double overhead = base.ops_per_second > 0
@@ -64,11 +61,6 @@ int main(int argc, char** argv) {
                           : 0.0;
     std::printf("%-20lus %14.0f %10lu/%-5lu %20.0f %+9.1f%%\n", period / kSecond,
                 r.ops_per_second, r.recoveries, r.started, r.mean_recovery_ms, overhead);
-    json.Row("watchdog=" + std::to_string(period / kSecond) + "s",
-             {{"watchdog_s", std::to_string(period / kSecond)}},
-             {{"tput_ops_per_s", r.ops_per_second},
-              {"mean_recovery_ms", r.mean_recovery_ms},
-              {"overhead_pct", overhead}});
   }
 
   std::printf("\npaper shape checks:\n");

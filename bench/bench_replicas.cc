@@ -4,8 +4,7 @@
 
 using namespace bft;
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_replicas", argc, argv);
+int main() {
   PrintHeader("E6", "scaling the group: n = 3f+1 for f = 1..4");
   std::printf("%-6s %-6s %16s %16s %18s\n", "n", "f", "0/0 lat (us)", "4/0 lat (us)",
               "tput@20cli (op/s)");
@@ -29,8 +28,6 @@ int main(int argc, char** argv) {
     }
     std::printf("%-6d %-6d %16.0f %16.0f %18.0f\n", n, (n - 1) / 3, ToUs(lat0), ToUs(lat4),
                 tput);
-    json.Row("n=" + std::to_string(n), {{"n", std::to_string(n)}},
-             {{"lat_0_0_us", ToUs(lat0)}, {"lat_4k_us", ToUs(lat4)}, {"tput_ops_per_s", tput}});
   }
   std::printf("\npaper shape checks:\n");
   std::printf("  - latency grows mildly with n (authenticator size and prepare/commit\n");

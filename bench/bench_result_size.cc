@@ -13,8 +13,7 @@ SimTime RunOne(size_t result, bool digest_replies) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_result_size", argc, argv);
+int main() {
   PrintHeader("E3", "read-write latency vs result size (0/b operations)");
   std::printf("%-10s %22s %22s %10s\n", "result (B)", "digest replies (us)",
               "full replies (us)", "gain");
@@ -23,8 +22,6 @@ int main(int argc, char** argv) {
     SimTime without = RunOne(result, false);
     std::printf("%-10zu %22.0f %22.0f %9.2fx\n", result, ToUs(with), ToUs(without),
                 with > 0 ? static_cast<double>(without) / static_cast<double>(with) : 0.0);
-    json.Row("result=" + std::to_string(result), {{"result_bytes", std::to_string(result)}},
-             {{"digest_replies_us", ToUs(with)}, {"full_replies_us", ToUs(without)}});
   }
   std::printf("\npaper shape checks:\n");
   std::printf("  - with digest replies only one replica sends the full result, so latency\n");

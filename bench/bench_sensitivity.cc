@@ -27,8 +27,7 @@ SimTime Predicted(const PerfModel& model) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_sensitivity", argc, argv);
+int main() {
   PrintHeader("E13", "sensitivity of 0/0 latency to component-cost variations");
 
   const Variation kVariations[] = {
@@ -72,8 +71,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(measured) / static_cast<double>(base_measured),
                 ToUs(predicted),
                 static_cast<double>(predicted) / static_cast<double>(base_predicted));
-    json.Row(v.name, {{"variation", v.name}},
-             {{"measured_us", ToUs(measured)}, {"model_us", ToUs(predicted)}});
   }
 
   std::printf("\npaper shape checks:\n");

@@ -43,8 +43,7 @@ ClosedLoopLoad::Result RunOne(size_t shards, uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_sharding", argc, argv);
+int main() {
   PrintHeader("S1", "aggregate committed throughput vs shard count (closed-loop KV PUTs)");
   std::printf("%-8s %-10s %18s %16s %12s\n", "shards", "replicas", "aggregate (op/s)",
               "mean lat (us)", "speedup");
@@ -61,11 +60,6 @@ int main(int argc, char** argv) {
     }
     std::printf("%-8zu %-10zu %18.0f %16.1f %11.2fx\n", shards, shards * 4, r.ops_per_second,
                 ToUs(r.mean_latency), base > 0 ? r.ops_per_second / base : 0.0);
-    json.Row("shards=" + std::to_string(shards),
-             {{"shards", std::to_string(shards)}, {"clients", std::to_string(kClients)}},
-             {{"aggregate_ops_per_s", r.ops_per_second},
-              {"mean_latency_us", ToUs(r.mean_latency)},
-              {"speedup", base > 0 ? r.ops_per_second / base : 0.0}});
   }
 
   std::printf("\ndeterminism check (S=4, same seed twice): ");

@@ -37,8 +37,7 @@ class PageWriterService : public Service {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_state_transfer", argc, argv);
+int main() {
   PrintHeader("E8", "state transfer: fetch time and rate vs amount of out-of-date state");
   std::printf("%-14s %-12s %16s %14s %12s\n", "modified (KB)", "pages", "transfer (ms)",
               "rate (MB/s)", "fetched");
@@ -83,10 +82,6 @@ int main(int argc, char** argv) {
     std::printf("%-14.0f %-12lu %16.1f %14.2f %12lu\n",
                 static_cast<double>(pages) * 4096.0 / 1024.0, pages, ToMs(elapsed), mbps,
                 fetched);
-    json.Row("pages=" + std::to_string(pages), {{"modified_pages", std::to_string(pages)}},
-             {{"transfer_ms", ToMs(elapsed)},
-              {"rate_mb_per_s", mbps},
-              {"pages_fetched", static_cast<double>(fetched)}});
   }
 
   std::printf("\npaper shape checks:\n");

@@ -18,8 +18,7 @@ double RunOne(size_t clients, size_t arg, bool read_only) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_throughput", argc, argv);
+int main() {
   PrintHeader("E4", "throughput vs number of clients (0/0 r-w, 0/0 r-o, 4/0 r-w)");
   std::printf("%-10s %16s %16s %16s\n", "clients", "0/0 rw (op/s)", "0/0 ro (op/s)",
               "4/0 rw (op/s)");
@@ -28,8 +27,6 @@ int main(int argc, char** argv) {
     double ro = RunOne(clients, 0, true);
     double big = RunOne(clients, 4096, false);
     std::printf("%-10zu %16.0f %16.0f %16.0f\n", clients, rw, ro, big);
-    json.Row("clients=" + std::to_string(clients), {{"clients", std::to_string(clients)}},
-             {{"rw_ops_per_s", rw}, {"ro_ops_per_s", ro}, {"rw4k_ops_per_s", big}});
   }
   std::printf("\npaper shape checks:\n");
   std::printf("  - read-write throughput rises with clients as batching kicks in, then\n");

@@ -5,8 +5,7 @@
 
 using namespace bft;
 
-int main(int argc, char** argv) {
-  BenchJson json("bench_view_change", argc, argv);
+int main() {
   PrintHeader("E9", "view-change latency");
 
   std::printf("%-8s %22s %24s\n", "round", "view-change (ms)", "incl. fault timeout (ms)");
@@ -43,12 +42,9 @@ int main(int argc, char** argv) {
     double vc_ms = ToMs(vc_end - vc_start);
     sum_vc += vc_ms;
     std::printf("%-8d %22.2f %24.2f\n", round, vc_ms, ToMs(vc_end - fault_at));
-    json.Row("round=" + std::to_string(round), {{"round", std::to_string(round)}},
-             {{"view_change_ms", vc_ms}, {"incl_timeout_ms", ToMs(vc_end - fault_at)}});
   }
   std::printf("\nmean view-change time (excluding the detection timeout): %.2f ms\n",
               sum_vc / rounds);
-  json.Row("mean", {}, {{"mean_view_change_ms", sum_vc / rounds}});
   std::printf("\npaper shape checks:\n");
   std::printf("  - the protocol itself completes in single-digit milliseconds; total\n");
   std::printf("    unavailability is dominated by the fault-detection timeout, as in the\n");

@@ -22,8 +22,6 @@ const char* LevelName(LogLevel level) {
       return "E";
     case LogLevel::kInfo:
       return "I";
-    case LogLevel::kDebug:
-      return "D";
     default:
       return "?";
   }

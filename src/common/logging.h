@@ -1,5 +1,5 @@
-// Minimal leveled logging. Off by default so benchmarks stay quiet; tests and examples can
-// raise the level to trace protocol decisions.
+// Minimal leveled logging to stderr. Off by default so benchmarks stay quiet; bft_node raises
+// it to Info for its slow-request log (--slow-ms).
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
@@ -13,7 +13,6 @@ enum class LogLevel : int {
   kNone = 0,
   kError = 1,
   kInfo = 2,
-  kDebug = 3,
 };
 
 LogLevel GetLogLevel();
@@ -37,7 +36,6 @@ void SetThreadLogPrefix(std::string prefix);
     }                                                          \
   } while (0)
 
-#define BFT_DEBUG(stream_expr) BFT_LOG(kDebug, stream_expr)
 #define BFT_INFO(stream_expr) BFT_LOG(kInfo, stream_expr)
 #define BFT_ERROR(stream_expr) BFT_LOG(kError, stream_expr)
 

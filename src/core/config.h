@@ -13,14 +13,17 @@ namespace bft {
 // Replicas use node ids [0, n); clients use ids >= kClientIdBase.
 constexpr NodeId kClientIdBase = 1000;
 
-// Default first id of the reserved *admin* client range (see ReplicaConfig::admin_id_base):
-// admin clients are ordinary authenticated clients whose id falls at or above this mark.
-// Administrative service operations (the MIG_*/REB_* control-plane verbs) execute only for
-// admin clients; everyone else gets Service::AccessDeniedResult(). Far above any id a
-// harness hands out for regular load clients.
+// First id of the reserved *admin* client range: admin clients are ordinary authenticated
+// clients whose id falls at or above this mark. Administrative service operations
+// (Service::IsAdminOp — the MIG_* migration verbs and REB_* rebalance queries) execute only
+// for admin clients; replicas answer everyone else with Service::AccessDeniedResult()
+// *before* the service executes, so a Byzantine — or merely buggy — regular client cannot
+// seal, purge, or move a bucket. The check is pure id + request, hence deterministic across
+// the group. Far above any id a harness hands out for regular load clients.
 constexpr NodeId kAdminIdBase = 1u << 30;
 
 inline bool IsClientId(NodeId id) { return id >= kClientIdBase; }
+inline bool IsAdminClient(NodeId id) { return id >= kAdminIdBase; }
 
 struct ReplicaConfig {
   // Group size. |R| = 3f+1; more replicas are tolerated but degrade performance (Section 2.3).
@@ -31,14 +34,6 @@ struct ReplicaConfig {
   // kClientIdBase. The default 0 preserves the single-group layout.
   NodeId base_id = 0;
 
-  // Reserved admin client-id range: authenticated clients with id >= admin_id_base may issue
-  // administrative service operations (Service::IsAdminOp — the MIG_* migration verbs and
-  // REB_* rebalance queries). Replicas reject admin ops from any other client with
-  // Service::AccessDeniedResult() *before* the service executes them, so a Byzantine — or
-  // merely buggy — regular client cannot seal, purge, or move a bucket. The check is pure
-  // config + request, hence deterministic across the group.
-  NodeId admin_id_base = kAdminIdBase;
-  bool IsAdminClient(NodeId id) const { return id >= admin_id_base; }
   int f() const { return (n - 1) / 3; }
   int quorum() const { return 2 * f() + 1; }       // quorum certificate size
   int weak() const { return f() + 1; }             // weak certificate size
@@ -53,12 +48,9 @@ struct ReplicaConfig {
   // --- Optimizations (Section 5.1), all individually toggleable for the ablation bench ------
   bool tentative_execution = true;
   bool digest_replies = true;
-  size_t digest_reply_threshold = 32;              // bytes; smaller results are sent by all
   bool read_only_optimization = true;
   bool batching = true;
   size_t max_batch_requests = 16;                  // request digests per pre-prepare (Fig 6-1)
-  size_t max_batch_bytes = 8192;
-  size_t batch_window = 4;                         // sliding window of open protocol instances
   size_t separate_transmission_threshold = 255;    // bytes; larger requests multicast by client
 
   // --- Timers -------------------------------------------------------------------------------

@@ -4,13 +4,19 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/common/logging.h"
-
 namespace bft {
 
 namespace {
 // Designated-replier value meaning "every replica sends the full result".
 constexpr NodeId kEveryone = 0xffffffff;
+
+// Section 5.1 constants. Every replica sends results of at most this many bytes in full;
+// for larger ones only the designated replier does, and the others send the digest.
+constexpr size_t kDigestReplyThreshold = 32;
+// Cap on the inlined request bytes one pre-prepare carries.
+constexpr size_t kMaxBatchBytes = 8192;
+// Sliding window of protocol instances the primary keeps open at once (Section 5.1.4).
+constexpr SeqNo kBatchWindow = 4;
 
 // Recovery requests carry this prefix in their op field and are handled by the replica layer
 // rather than the service (Section 4.3.2).
@@ -263,8 +269,8 @@ void Replica::TrySendPrePrepare() {
     if (seqno_ >= low_ + config_->log_size) {
       return;  // log full; wait for a checkpoint to become stable
     }
-    if (seqno_ - last_exec_ >= config_->batch_window) {
-      return;  // sliding-window limit on parallel protocol instances (Section 5.1.4)
+    if (seqno_ - last_exec_ >= kBatchWindow) {
+      return;  // sliding-window limit on parallel protocol instances
     }
 
     PrePrepareMsg pp;
@@ -277,7 +283,7 @@ void Replica::TrySendPrePrepare() {
     size_t batch_bytes = 0;
     size_t max_requests = config_->batching ? config_->max_batch_requests : 1;
     while (!request_queue_.empty() && payload.requests.size() < max_requests &&
-           batch_bytes < config_->max_batch_bytes) {
+           batch_bytes < kMaxBatchBytes) {
       Digest d = request_queue_.front();
       auto rit = requests_.find(d);
       if (rit == requests_.end()) {
@@ -294,7 +300,7 @@ void Replica::TrySendPrePrepare() {
       // requests contribute just a digest (Fig 6-1).
       bool inline_req = req.op.size() <= config_->separate_transmission_threshold;
       size_t wire_cost = inline_req ? req.op.size() : Digest::kSize;
-      if (!payload.requests.empty() && batch_bytes + wire_cost > config_->max_batch_bytes) {
+      if (!payload.requests.empty() && batch_bytes + wire_cost > kMaxBatchBytes) {
         break;
       }
       request_queue_.pop_front();
@@ -311,8 +317,6 @@ void Replica::TrySendPrePrepare() {
     }
 
     ++seqno_;
-    BFT_DEBUG("replica " << id() << ": pre-prepare seq " << seqno_ << " view " << view_
-                         << " batch=" << payload.requests.size());
     Digest d = pp.BatchDigest();
     batch_store_[d] = payload;
     AuthAndMulticast(pp);
@@ -466,7 +470,6 @@ void Replica::TryPrepared(SeqNo n) {
   }
   entry.prepared = true;
   last_prepared_seq_ = std::max(last_prepared_seq_, n);
-  BFT_DEBUG("replica " << id() << ": prepared seq " << n << " view " << entry.pp_view);
   TraceBatch(TracePhase::kPrepared, entry.d);
 
   CommitMsg com;
@@ -483,12 +486,9 @@ void Replica::TryPrepared(SeqNo n) {
 
 void Replica::HandleCommit(CommitMsg m) {
   if (m.view != view_ || !InWatermarks(m.seq)) {
-    BFT_DEBUG("replica " << id() << ": drop commit seq " << m.seq << " from " << m.replica
-                         << " (view " << m.view << " vs " << view_ << ", low " << low_ << ")");
     return;
   }
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
-    BFT_DEBUG("replica " << id() << ": commit auth failure from " << m.replica);
     return;
   }
   LogEntry& entry = Entry(m.seq);
@@ -513,7 +513,6 @@ void Replica::TryCommitted(SeqNo n) {
     return;
   }
   entry.committed = true;
-  BFT_DEBUG("replica " << id() << ": committed seq " << n);
   TraceBatch(TracePhase::kCommitted, entry.d);
   TryExecute();
 }
@@ -632,10 +631,10 @@ void Replica::ExecuteBatch(SeqNo n, bool tentative) {
       if (req.client != id()) {
         SendNewKey();
       }
-    } else if (service_->IsAdminOp(req.op) && !config_->IsAdminClient(req.client)) {
+    } else if (service_->IsAdminOp(req.op) && !IsAdminClient(req.client)) {
       // Admin ACL (migration/rebalance control plane): the op is ordered and replied to like
       // any other — so the client gets a certified, clean error — but never executes. Pure
-      // function of config + request: every correct replica denies identically.
+      // function of client id + request: every correct replica denies identically.
       ByteView denied = Service::AccessDeniedResult();
       result = Bytes(denied.begin(), denied.end());
     } else {
@@ -661,7 +660,7 @@ void Replica::ExecuteBatch(SeqNo n, bool tentative) {
     last_reply_[req.client] = reply;
 
     bool send_full = !config_->digest_replies ||
-                     result.size() <= config_->digest_reply_threshold ||
+                     result.size() <= kDigestReplyThreshold ||
                      req.designated_replier == id() || req.designated_replier == kEveryone;
     if (!send_full) {
       reply.has_result = false;
@@ -673,7 +672,7 @@ void Replica::ExecuteBatch(SeqNo n, bool tentative) {
 
 void Replica::ExecuteReadOnly(const RequestMsg& req) {
   Bytes result;
-  if (service_->IsAdminOp(req.op) && !config_->IsAdminClient(req.client)) {
+  if (service_->IsAdminOp(req.op) && !IsAdminClient(req.client)) {
     // Defense in depth: no current service marks an admin op read-only (so these normally
     // reach the ACL in ExecuteBatch via ordering), but the documented invariant — admin ops
     // never execute for non-admin clients — must not depend on that coincidence.
@@ -693,7 +692,7 @@ void Replica::ExecuteReadOnly(const RequestMsg& req) {
   reply.result_digest = ComputeDigest(result);
   cpu().Charge(model_->DigestCost(result.size()));
   bool send_full = !config_->digest_replies ||
-                   result.size() <= config_->digest_reply_threshold ||
+                   result.size() <= kDigestReplyThreshold ||
                    req.designated_replier == id() || req.designated_replier == kEveryone;
   reply.has_result = send_full;
   if (send_full) {
@@ -908,8 +907,6 @@ void Replica::OnViewChangeTimeout() {
   vc_timer_running_ = false;
   // Exponential backoff: wait longer before the next view change (Section 2.3.5, liveness).
   vc_timeout_ = std::min(vc_timeout_ * 2, config_->max_view_change_timeout);
-  BFT_DEBUG("replica " << id() << ": request timer expired in view " << view_
-                       << ", moving to " << view_ + 1);
   StartViewChange(view_ + 1);
 }
 
@@ -1407,9 +1404,6 @@ void Replica::EnterView(View v) {
   vc_unverified_.erase(vc_unverified_.begin(), vc_unverified_.lower_bound(v));
   vc_acks_.erase(vc_acks_.begin(), vc_acks_.lower_bound(v));
 
-  BFT_DEBUG("replica " << id() << ": entered view " << v << " primary=" << primary()
-                       << " last_exec=" << last_exec_ << " queue=" << request_queue_.size()
-                       << " log=" << log_.size() << " reqs=" << requests_.size());
   TryExecute();
   TrySendPrePrepare();
 }

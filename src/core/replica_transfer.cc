@@ -369,7 +369,6 @@ void Replica::StartRecovery() {
 }
 
 void Replica::ContinueRecoveryAfterReboot() {
-  BFT_DEBUG("replica " << id() << ": rebooted, starting estimation");
   // Step 1: change keys — the attacker may know the old ones.
   SendNewKey();
 
@@ -413,8 +412,6 @@ void Replica::HandleReplyStable(ReplyStableMsg m) {
   if (!auth_.VerifyAuthPoint(m.replica, m.AuthContent(), m.auth, &cpu())) {
     return;
   }
-  BFT_DEBUG("replica " << id() << ": reply-stable from " << m.replica << " c="
-                       << m.last_checkpoint << " p=" << m.last_prepared);
   auto it = est_replies_.find(m.replica);
   if (it == est_replies_.end()) {
     est_replies_[m.replica] = {m.last_checkpoint, m.last_prepared};
@@ -445,7 +442,6 @@ void Replica::RecomputeEstimation() {
       }
     }
     if (c_ok >= 2 * config_->f() && p_ok >= config_->f()) {
-      BFT_DEBUG("replica " << id() << ": estimation done, Hm = " << candidate << " + L");
       recovery_max_seq_ = candidate + config_->log_size;  // Hm = c_m + L
       // Discard any log entries above the bound: they may be corrupt.
       log_.erase(log_.upper_bound(recovery_max_seq_), log_.end());
@@ -518,8 +514,6 @@ void Replica::HandleReply(ReplyMsg m) {
     SeqNo hl = ((l + k - 1) / k) * k + config_->log_size;
     recovery_point_ = std::max(recovery_max_seq_, hl);
     recovery_point_known_ = true;
-    BFT_DEBUG("replica " << id() << ": recovery request executed at " << l
-                         << ", recovery point = " << recovery_point_);
 
     // Adopt a valid view: keep ours if f+1 replies are at or above it, else take the median.
     std::vector<View> views;
@@ -590,8 +584,6 @@ void Replica::CheckRecoveryComplete() {
     return;
   }
   if (low_ < recovery_point_) {
-    BFT_DEBUG("replica " << id() << ": recovery waiting for stability, low=" << low_
-                         << " point=" << recovery_point_);
     return;  // wait until the checkpoint at the recovery point is stable
   }
   recovering_ = false;

@@ -106,9 +106,8 @@ class Histogram {
 };
 
 // Exact percentile over raw samples: index = size*pct/100 clamped to the last element,
-// selected in place with nth_element. The one shared implementation behind the closed-loop
-// runner's group_p99 and bench_runtime's p50/p99 summaries — both previously open-coded the
-// same formula, and the deterministic benches' byte-identity depends on it not drifting.
+// selected in place with nth_element. The closed-loop runner's group_p99 goes through it, so
+// the deterministic benches' expected outputs depend on it not drifting.
 template <typename T>
 T PercentileOf(std::vector<T>& samples, int pct) {
   if (samples.empty()) {

@@ -9,7 +9,7 @@
 // Design constraints, in order:
 //  - Disabled must be free: every fault setter recomputes one `armed_` atomic, and the
 //    unarmed Send/Multicast path is a relaxed load plus the inner virtual call. RtCluster
-//    stacks this transport unconditionally, so bench_runtime rides through it.
+//    stacks this transport unconditionally, so every pbft_bench workload rides through it.
 //  - Fault decisions happen on the SEND side, where both link endpoints are known (datagrams
 //    carry no sender identity, so a receive-side decorator could not be per-link).
 //  - Delayed/reordered datagrams are delivered by a private timer thread straight into the

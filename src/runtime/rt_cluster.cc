@@ -17,7 +17,7 @@ RtCluster::RtCluster(RtClusterOptions options, RtServiceFactory factory)
     transport_ = std::make_unique<InProcTransport>();
   }
   // The fault layer is always in the stack: disarmed it forwards after one relaxed atomic
-  // load, so the happy path (and bench_runtime) pays nothing measurable. Formation wraps it,
+  // load, so the happy path (and pbft_bench) pays nothing measurable. Formation wraps it,
   // so injected faults hit fully-formed wire datagrams.
   uint64_t fault_seed =
       options_.fault_seed != 0 ? options_.fault_seed : options_.seed ^ 0xfa517fa517fa517bULL;

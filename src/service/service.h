@@ -57,8 +57,8 @@ class Service {
 
   // Admin classification: operations that reconfigure or introspect the service's control
   // plane (bucket migration MIG_*, rebalance stats REB_*) rather than serve data. The replica
-  // rejects admin ops from clients outside ReplicaConfig's admin id range with
-  // AccessDeniedResult() before Execute() runs; see ReplicaConfig::admin_id_base.
+  // rejects admin ops from clients outside the admin id range with AccessDeniedResult()
+  // before Execute() runs; see kAdminIdBase.
   virtual bool IsAdminOp(ByteView op) const { return false; }
 
   // Installs the keyed-op load observer (nullptr detaches). Harness-side wiring: the sharded

@@ -48,7 +48,6 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options, ShardServiceFactor
     }
   }
   router_service_ = factory(0, configs_[0].ReplicaId(0));
-  next_admin_id_ = configs_[0].admin_id_base;
 
   // Load observation for the rebalancer: replica 0 of each group executes every op the group
   // orders, so pointing exactly one service per group at the shared registry counts each
@@ -62,7 +61,7 @@ ShardedCluster::~ShardedCluster() = default;
 
 ShardedClient* ShardedCluster::AddClient() {
   ShardedClient* added = AddRouterClient(&next_client_id_);
-  if (next_client_id_ > configs_[0].admin_id_base) {
+  if (next_client_id_ > kAdminIdBase) {
     std::fprintf(stderr, "ShardedCluster: client ids overran the admin id range\n");
     std::abort();
   }

@@ -71,7 +71,7 @@ class ShardedCluster {
   size_t num_clients() const { return clients_.size(); }
 
   // A router client whose endpoints carry ids in the reserved admin range
-  // (ReplicaConfig::admin_id_base): the only identity replicas accept MIG_*/REB_* ops from.
+  // (kAdminIdBase): the only identity replicas accept MIG_*/REB_* ops from.
   // The migration coordinator and rebalance controller route through one of these.
   ShardedClient* AddAdminClient();
 
@@ -144,7 +144,7 @@ class ShardedCluster {
   std::unique_ptr<Service> router_service_;                  // key extraction only, never Initialized
   BucketStatsRegistry bucket_stats_;
   NodeId next_client_id_ = kClientIdBase;
-  NodeId next_admin_id_;  // allocated from configs_[0].admin_id_base upward
+  NodeId next_admin_id_ = kAdminIdBase;
 };
 
 }  // namespace bft

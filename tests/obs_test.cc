@@ -61,9 +61,9 @@ TEST(HistogramTest, RecordCountSumPercentile) {
   EXPECT_EQ(Histogram().Percentile(99), 0u) << "empty histogram";
 }
 
-// PercentileOf replaced two open-coded implementations (bench_runtime's sorted-index p50/p99
-// and closed_loop's Percentile99); the deterministic benches' byte-identity depends on it
-// computing exactly the same element.
+// PercentileOf must select exactly the element of the legacy sorted-index formulas:
+// closed_loop's group p99 goes through it, and the deterministic benches' expected outputs
+// depend on that.
 TEST(PercentileOfTest, MatchesTheLegacySortedIndexFormulas) {
   uint64_t state = 0x123456789abcdefULL;
   auto next = [&state]() {

@@ -31,7 +31,8 @@
 //                      verdict) on loopback TCP port P while the workload runs (0 =
 //                      kernel-assigned; the bound port is printed at startup).
 //   --trace-sample N   stamp every Nth request's phase timeline (1 = all, 0 = off).
-//   --slow-ms M        log a traced request slower than M ms end-to-end.
+//   --slow-ms M        log a traced request slower than M ms end-to-end to stderr (this also
+//                      turns on the replicas' Info-level log lines).
 //   --metrics-json F   write the final metrics+traces JSON dump to F on exit.
 //   SIGUSR1            snapshot on demand: the next loop iteration dumps to --metrics-json
 //                      (when given) and prints the Prometheus text to stderr.
@@ -42,6 +43,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/logging.h"
 #include "src/obs/export.h"
 #include "src/runtime/rt_cluster.h"
 #include "src/service/kv_service.h"
@@ -122,6 +124,7 @@ int main(int argc, char** argv) {
   cluster.tracer().set_sample_every(static_cast<uint32_t>(trace_sample));
   if (slow_ms > 0) {
     cluster.tracer().set_slow_threshold(static_cast<SimTime>(slow_ms) * kMillisecond);
+    SetLogLevel(LogLevel::kInfo);  // the tracer logs each slow request at Info
   }
   std::vector<Client*> clients;
   for (size_t c = 0; c < num_clients; ++c) {
