@@ -9,7 +9,7 @@
 // public key inside NEW-KEY messages. In the simulator both ends *derive* k_{i,j} for epoch e
 // as H(master || i || j || e); the NEW-KEY message then only needs to announce the epoch bump.
 // This preserves everything the protocol observes — which messages authenticate under which
-// epoch, and when stale messages get rejected — without modelling encryption (DESIGN.md).
+// epoch, and when stale messages get rejected — without modelling encryption.
 //
 // BFT-PK mode: authenticators are replaced by signatures from the node's private key.
 #ifndef SRC_CORE_AUTH_H_

@@ -61,6 +61,7 @@ void Client::Invoke(Bytes op, bool read_only, Callback callback) {
       tracer_->Sampled(current_.client, current_.timestamp)) {
     tracer_->Stamp(TracePhase::kDispatch, current_.client, current_.timestamp, Now());
   }
+  current_digest_ = current_.RequestDigest();
   cpu().Charge(model_->DigestCost(current_.op.size()));
   SendCurrentRequest(/*broadcast=*/current_read_only_path_ ||
                      current_.op.size() > config_->separate_transmission_threshold);
@@ -68,7 +69,7 @@ void Client::Invoke(Bytes op, bool read_only, Callback callback) {
 
 void Client::SendCurrentRequest(bool broadcast) {
   // BFT: an authenticator with one MAC per replica. BFT-PK: a signature.
-  current_.auth = auth_.GenAuthMulticast(current_.AuthContent(), &cpu());
+  current_.auth = auth_.GenAuthMulticast(current_.AuthContent(current_digest_), &cpu());
   // Encode once: broadcast shares the same refcounted buffer across all replicas.
   MsgBuffer wire = EncodeMessage(Message(current_));
   if (broadcast) {

@@ -130,6 +130,9 @@ class Client {
   uint64_t last_timestamp_ = 0;
   bool busy_ = false;
   RequestMsg current_;
+  // current_.RequestDigest(), computed once per Invoke: retransmissions change only header
+  // fields the digest does not cover.
+  Digest current_digest_;
   Callback callback_;
   SimTime issued_at_ = 0;
   SimTime retry_timeout_;

@@ -26,32 +26,32 @@ bool ReadDigest(Reader& r, Digest* d) {
 
 // --- RequestMsg ---------------------------------------------------------------------------------
 
-namespace {
-void RequestCore(const RequestMsg& m, Writer& w) {
-  w.U32(m.client);
-  w.U64(m.timestamp);
-  w.Bool(m.read_only);
-  w.U32(m.designated_replier);
-  w.Var(m.op);
-}
-}  // namespace
-
 Digest RequestMsg::RequestDigest() const {
-  Writer w;
-  w.U32(client);
-  w.U64(timestamp);
-  w.Var(op);
-  return ComputeDigest(w.data());
+  // H(U32 client | U64 timestamp | U32 len | op): the same preimage as a Writer encoding,
+  // streamed so the op is hashed in place rather than copied first.
+  Writer header;
+  header.U32(client);
+  header.U64(timestamp);
+  header.U32(static_cast<uint32_t>(op.size()));
+  return ComputeDigestConcat({header.data(), op});
 }
 
 void RequestMsg::EncodeBody(Writer& w) const {
-  RequestCore(*this, w);
+  w.U32(client);
+  w.U64(timestamp);
+  w.Bool(read_only);
+  w.U32(designated_replier);
+  w.Var(op);
   w.Var(auth);
 }
 
-Bytes RequestMsg::AuthContent() const {
+Bytes RequestMsg::AuthContent(const Digest& digest) const {
   Writer w;
-  RequestCore(*this, w);
+  w.U32(client);
+  w.U64(timestamp);
+  w.Bool(read_only);
+  w.U32(designated_replier);
+  WriteDigest(w, digest);
   return w.Take();
 }
 

@@ -3,7 +3,9 @@
 // Every message consists of a one-byte type tag, a body, and an authentication trailer (an
 // authenticator — one MAC per replica —, a single MAC, or a signature, depending on message
 // type and AuthMode). `AuthContent()` returns the bytes covered by authentication: the body
-// with the trailer excluded, which mirrors the real library's MAC-over-fixed-header scheme.
+// with the trailer excluded, except that a request's op, a reply's result and a pre-prepare's
+// batch are covered through their digests, as in the real library's MAC-over-fixed-header
+// scheme (Fig 6-1).
 //
 // Decoding is defensive (Byzantine senders): `Decode*` returns false on malformed input.
 #ifndef SRC_CORE_MESSAGES_H_
@@ -58,11 +60,17 @@ struct RequestMsg {
   Bytes auth;
 
   // Digest identifying the request: H(client, timestamp, op). Used in pre-prepares that carry
-  // requests separately and in the replicas' replay caches.
+  // requests separately and in the replicas' replay caches. Computed from the fields on every
+  // call, never cached: a cached value would go stale when a field changes.
   Digest RequestDigest() const;
 
   void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
+  // The fixed header (client, timestamp, read_only, designated_replier) plus the request
+  // digest, as ReplyMsg's MAC covers the result digest (Fig 6-1): the op is hashed once, and
+  // MAC cost does not grow with its size.
+  Bytes AuthContent() const { return AuthContent(RequestDigest()); }
+  // The same bytes for a caller that already computed `digest` = RequestDigest().
+  Bytes AuthContent(const Digest& digest) const;
   static bool DecodeBody(Reader& r, RequestMsg* out);
 };
 
@@ -188,7 +196,7 @@ struct ViewChangeAckMsg {
 // The batch payload for a chosen sequence number that the new primary propagates so backups
 // can execute. (The real library relied on the retransmission machinery to fetch missing
 // requests; carrying payloads in the new-view plus the BatchFetch/BatchReply pair below covers
-// the same need. See DESIGN.md.)
+// the same need.)
 struct BatchPayload {
   Bytes ndet;
   std::vector<RequestMsg> requests;  // full requests, in execution order

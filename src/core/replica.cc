@@ -198,7 +198,10 @@ void Replica::HandleRequest(RequestMsg m) {
   if (!IsClientId(m.client) && !config_->IsReplicaMember(m.client)) {
     return;
   }
-  if (!auth_.VerifyAuthMulticast(m.client, m.AuthContent(), m.auth, &cpu())) {
+  // The authenticator covers the header and this digest, so the op is hashed exactly once.
+  Digest d = m.RequestDigest();
+  cpu().Charge(model_->DigestCost(m.op.size()));
+  if (!auth_.VerifyAuthMulticast(m.client, m.AuthContent(d), m.auth, &cpu())) {
     ++stats_.rejected_auth;
     obs_.auth_rejected->Inc();
     return;
@@ -236,7 +239,6 @@ void Replica::HandleRequest(RequestMsg m) {
     return;
   }
 
-  Digest d = m.RequestDigest();
   bool is_new = requests_.emplace(d, m).second;
 
   if (config_->PrimaryOf(view_) == id()) {
@@ -384,10 +386,11 @@ void Replica::AcceptPrePrepare(const PrePrepareMsg& pp) {
   // authentic request was received directly from the client.
   for (const RequestMsg& req : pp.inline_requests) {
     Digest rd = req.RequestDigest();
+    cpu().Charge(model_->DigestCost(req.op.size()));
     if (requests_.count(rd) != 0) {
       continue;  // condition 3
     }
-    if (auth_.VerifyAuthMulticast(req.client, req.AuthContent(), req.auth, &cpu())) {
+    if (auth_.VerifyAuthMulticast(req.client, req.AuthContent(rd), req.auth, &cpu())) {
       requests_.emplace(rd, req);
       continue;  // condition 1
     }
@@ -1070,7 +1073,8 @@ void Replica::MaybeAckViewChange(const ViewChangeMsg& m) {
   ack.vc_sender = m.replica;
   ack.vc_digest = m.MessageDigest();
   // Acks are multicast (not just sent to the new primary) so every backup can authenticate
-  // view-change messages referenced by the new-view — see DESIGN.md.
+  // the view-change messages a new-view references by counting acks itself, rather than
+  // taking the new primary's word for them.
   vc_acks_[m.view][m.replica].insert(id());
   AuthAndMulticast(ack);
 }

@@ -460,6 +460,7 @@ void Replica::SendRecoveryRequest() {
   req.designated_replier = 0xffffffff;  // everyone replies with the full result
   req.op = ToBytes(kRecoveryTag);
   recovery_request_ts_ = req.timestamp;
+  cpu().Charge(model_->DigestCost(req.op.size()));  // AuthContent() hashes the op
   req.auth = auth_.GenerateAuthenticator(req.AuthContent(), &cpu());
   // Signed conceptually by the co-processor; charge the signature cost on top.
   cpu().Charge(model_->SignCost());

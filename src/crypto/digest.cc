@@ -7,12 +7,15 @@ namespace bft {
 
 std::string Digest::Hex() const { return HexEncode(View()); }
 
-Digest ComputeDigest(ByteView data) {
-  Sha256::DigestBytes full = Sha256::Hash(data);
+namespace {
+Digest Truncate(const Sha256::DigestBytes& full) {
   Digest d;
   std::memcpy(d.bytes.data(), full.data(), Digest::kSize);
   return d;
 }
+}  // namespace
+
+Digest ComputeDigest(ByteView data) { return Truncate(Sha256::Hash(data)); }
 
 Digest ComputeDigestParts(std::initializer_list<ByteView> parts) {
   Writer w;
@@ -20,6 +23,14 @@ Digest ComputeDigestParts(std::initializer_list<ByteView> parts) {
     w.Var(p);
   }
   return ComputeDigest(w.data());
+}
+
+Digest ComputeDigestConcat(std::initializer_list<ByteView> parts) {
+  Sha256 h;
+  for (ByteView p : parts) {
+    h.Update(p);
+  }
+  return Truncate(h.Finish());
 }
 
 }  // namespace bft

@@ -1,7 +1,7 @@
 // 16-byte message digests.
 //
 // The paper uses MD5 (16 bytes); we substitute SHA-256 truncated to 16 bytes, keeping the
-// wire size and the collision-resistance assumption (see DESIGN.md, substitution table).
+// wire size and the collision-resistance assumption.
 #ifndef SRC_CRYPTO_DIGEST_H_
 #define SRC_CRYPTO_DIGEST_H_
 
@@ -41,6 +41,10 @@ Digest ComputeDigest(ByteView data);
 // Digest of the concatenation of several fields; each field is length-delimited internally so
 // that (a, bc) and (ab, c) hash differently.
 Digest ComputeDigestParts(std::initializer_list<ByteView> parts);
+
+// Digest of the plain concatenation of `parts`, streamed without copying them: equal to
+// ComputeDigest of the joined bytes. The caller's encoding must make the split unambiguous.
+Digest ComputeDigestConcat(std::initializer_list<ByteView> parts);
 
 struct DigestHasher {
   size_t operator()(const Digest& d) const {

@@ -5,7 +5,7 @@
 // can produce a node's signature, and anyone holding the PublicKeyDirectory can verify.
 // Unforgeability holds by construction (the secret never leaves the directory/private key).
 // The CPU cost asymmetry that drives the paper's BFT vs BFT-PK comparison is charged by the
-// performance model (PerfModel::sign_cost / verify_cost), not here. See DESIGN.md.
+// performance model (PerfModel::sign_cost / verify_cost), not here.
 #ifndef SRC_CRYPTO_SIGNATURE_H_
 #define SRC_CRYPTO_SIGNATURE_H_
 

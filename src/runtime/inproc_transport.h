@@ -1,6 +1,11 @@
 // In-process channel transport: datagrams are handed straight to the destination node's
 // mailbox. The fast path for multi-threaded runtime tests — same threading model as UDP
 // (every node still runs its own event loop) without sockets or syscalls.
+//
+// Locking is UdpTransport's scheme: Send/Multicast hold the map lock shared across the
+// destination's EnqueueMessage, so the loop threads' deliveries run concurrently, while
+// Register/Unregister take it exclusively. Unregister therefore returns only once every
+// delivery that could still reach the departing sink has finished.
 #ifndef SRC_RUNTIME_INPROC_TRANSPORT_H_
 #define SRC_RUNTIME_INPROC_TRANSPORT_H_
 
@@ -22,18 +27,18 @@ class InProcTransport final : public Transport {
   }
 
   void Register(NodeId id, MessageSink* sink) override {
-    MutexLock lock(mu_);
+    WriterMutexLock lock(mu_);
     sinks_[id] = sink;
   }
 
   void Unregister(NodeId id) override {
-    // Send() delivers while holding mu_, so once erase returns no delivery is in flight.
-    MutexLock lock(mu_);
+    // Deliveries hold mu_ shared, so once the exclusive erase returns none is in flight.
+    WriterMutexLock lock(mu_);
     sinks_.erase(id);
   }
 
   void Send(NodeId src, NodeId dst, MsgBuffer message) override {
-    MutexLock lock(mu_);
+    ReaderMutexLock lock(mu_);
     auto it = sinks_.find(dst);
     if (it == sinks_.end()) {
       return;  // unknown destination: dropped, like any datagram
@@ -45,7 +50,7 @@ class InProcTransport final : public Transport {
 
   void Multicast(NodeId src, const std::vector<NodeId>& dsts, const MsgBuffer& message) override {
     // One lock acquisition and one refcounted buffer for the whole fan-out.
-    MutexLock lock(mu_);
+    ReaderMutexLock lock(mu_);
     for (NodeId dst : dsts) {
       if (dst == src) {
         continue;
@@ -61,7 +66,7 @@ class InProcTransport final : public Transport {
   }
 
  private:
-  Mutex mu_;
+  SharedMutex mu_;
   std::map<NodeId, MessageSink*> sinks_ BFT_GUARDED_BY(mu_);
   Counter* datagrams_ = nullptr;
   Counter* bytes_ = nullptr;

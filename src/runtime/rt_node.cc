@@ -77,14 +77,27 @@ void RtNode::Stop() {
   started_ = false;
 }
 
-void RtNode::WakeLocked() {
-  if (!sleeping_) {
-    return;  // the loop is running and will re-scan its queues before parking
+bool RtNode::ClaimRingLocked() {
+  if (!sleeping_ || rung_) {
+    // Running: the loop re-scans its queues before parking. Already rung: the earlier
+    // ringer's write wakes the loop, which then sees this producer's work too.
+    return false;
   }
+  rung_ = true;
+  return true;
+}
+
+void RtNode::Ring() {
   uint64_t one = 1;
   // The eventfd is a saturating counter; a full buffer already means "awake", so a failed
   // write needs no handling.
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void RtNode::WakeLocked() {
+  if (ClaimRingLocked()) {
+    Ring();
+  }
 }
 
 bool RtNode::Post(std::function<void()> fn) {
@@ -98,17 +111,29 @@ bool RtNode::Post(std::function<void()> fn) {
 }
 
 void RtNode::EnqueueMessage(MsgBuffer message) {
-  MutexLock lock(mu_);
-  if (!attached_) {
-    return;  // detached: the wire drops everything addressed to us
+  bool ring = false;
+  {
+    MutexLock lock(mu_);
+    if (!attached_) {
+      return;  // detached: the wire drops everything addressed to us
+    }
+    if (inbox_.size() >= kMaxInbox) {
+      return;  // mailbox full: drop, exactly like a UDP socket buffer under overload
+    }
+    inbox_.push_back(std::move(message));
+    // A futex/eventfd wake per datagram dominates small-message receive cost under load:
+    // only the first enqueue into a parked loop rings.
+    ring = ClaimRingLocked();
   }
-  if (inbox_.size() >= kMaxInbox) {
-    return;  // mailbox full: drop, exactly like a UDP socket buffer under overload
+  // The write happens outside mu_, so the woken loop does not block on the lock we hold.
+  // wake_fd_ is still open here: every delivery path (InProcTransport::Send/Multicast,
+  // FaultTransport::DeliverDirect, UdpTransport::Drain) calls us under a transport reader
+  // lock, and ~RtNode closes wake_fd_ only after Unregister, which takes that lock
+  // exclusively, has returned. A write that lands after the loop woke for another reason
+  // costs at most one spurious wakeup.
+  if (ring) {
+    Ring();
   }
-  inbox_.push_back(std::move(message));
-  // A futex/eventfd wake per datagram dominates small-message receive cost under load;
-  // WakeLocked rings only when the loop is actually parked.
-  WakeLocked();
 }
 
 SimTime RtNode::Now() const {
@@ -297,6 +322,7 @@ void RtNode::Loop() {
     }
     lock.Lock();
     sleeping_ = false;  // cleared before Drain so our own enqueues skip the doorbell
+    rung_ = false;
     if (ready > 0 && nfds == 2 && (fds[1].revents & POLLIN) != 0) {
       // Datagrams flow straight into our inbox on this thread — no reader-thread handoff.
       lock.Unlock();

@@ -6,7 +6,7 @@
 // UDP or in-process channel). When the transport exposes a pollable receive fd (UDP), the
 // loop owns the socket too: it parks in ppoll over {eventfd, socket} and drains datagrams on
 // its own thread, so receive costs no cross-thread handoff; transports without an fd
-// (in-process) enqueue from the sender's thread and wake the eventfd. The CpuMeter still
+// (in-process) enqueue from the sender's thread and ring the eventfd, once per park. The CpuMeter still
 // accumulates the costs the core charges (crypto, execution) for observability, but charges
 // never delay real execution, and the simulator's modelled per-message network CPU costs are
 // not charged here — real syscalls cost real time instead.
@@ -82,8 +82,12 @@ class RtNode final : public Endpoint, public MessageSink {
 
   void Loop();
   TimerId ArmLocked(SimTime delay, SimTime period, std::function<void()> fn) BFT_REQUIRES(mu_);
-  // Wakes a parked loop. Called with mu_ held; a syscall happens only when the loop is (or
-  // is about to be) inside ppoll.
+  // True for exactly one caller per park: the one that must ring the doorbell. Later
+  // producers see rung_ and skip the syscall, since one eventfd write wakes the loop for all.
+  bool ClaimRingLocked() BFT_REQUIRES(mu_);
+  // Writes the eventfd. Needs no lock; the caller must keep wake_fd_ open (see EnqueueMessage).
+  void Ring();
+  // Wakes a parked loop with mu_ held, at most one syscall per park.
   void WakeLocked() BFT_REQUIRES(mu_);
 
   Transport* transport_;
@@ -98,6 +102,8 @@ class RtNode final : public Endpoint, public MessageSink {
   bool attached_ BFT_GUARDED_BY(mu_) = true;
   // Loop is (about to be) parked in ppoll; producers must ring.
   bool sleeping_ BFT_GUARDED_BY(mu_) = false;
+  // Some producer has claimed this park's doorbell; cleared when the loop wakes.
+  bool rung_ BFT_GUARDED_BY(mu_) = false;
   std::deque<MsgBuffer> inbox_ BFT_GUARDED_BY(mu_);
   std::deque<std::function<void()>> tasks_ BFT_GUARDED_BY(mu_);
   TimerId next_timer_ BFT_GUARDED_BY(mu_) = 1;

@@ -101,6 +101,35 @@ TEST(ByzantineTest, ForgedRequestsFromUnknownClientRejected) {
   EXPECT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
 }
 
+TEST(ByzantineTest, AlteredRequestOpIsRejectedEverywhere) {
+  // A man in the middle rewrites the op of every client request after the client computed
+  // its authenticator, keeping that authenticator: add(1) becomes add(100). The MACs cover
+  // the request digest, so every replica must reject the request and it never executes.
+  Cluster cluster(SmallCluster(66), CounterFactory());
+  int altered = 0;
+  cluster.net().SetFilter([&altered](NodeId src, NodeId dst, const Bytes& msg) {
+    std::optional<Message> decoded = DecodeMessage(msg);
+    if (IsClientId(src) && decoded.has_value() && std::holds_alternative<RequestMsg>(*decoded)) {
+      RequestMsg req = std::get<RequestMsg>(*decoded);
+      req.op[req.op.size() - 8] = 100;  // the delta's low byte
+      Bytes wire = EncodeMessage(Message(req));
+      EXPECT_EQ(wire.size(), msg.size());
+      const_cast<Bytes&>(msg) = wire;
+      ++altered;
+    }
+    return Network::FilterAction::kDeliver;
+  });
+  Client* client = cluster.AddClient();
+  EXPECT_FALSE(
+      cluster.Execute(client, CounterService::AddOp(1), false, 5 * kSecond).has_value());
+  EXPECT_GT(altered, 0);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GT(cluster.replica(r)->stats().rejected_auth, 0u) << "replica " << r;
+    EXPECT_EQ(cluster.replica(r)->last_executed(), 0u) << "replica " << r;
+    EXPECT_EQ(CounterAt(cluster, r), 0u) << "replica " << r << " executed the altered op";
+  }
+}
+
 TEST(ByzantineTest, SelectiveDeliveryCannotForkState) {
   // The Byzantine network delivers replica 1's messages only to replica 2 and vice versa —
   // an attempt to make two "sides" see different histories. Safety: all replicas that

@@ -4,11 +4,15 @@
 // re-arming — is exercised against the simulator-backed Node and the real-clock RtNode via
 // a typed fixture. Real-clock assertions only ever bound from below (a timer must not fire
 // before its deadline) or wait with generous deadlines, so slow CI machines cannot flake.
+//
+// The last two tests race the in-process delivery path from many threads: sends against
+// Register/Unregister, and concurrent enqueues against a loop that parks between bursts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/runtime/inproc_transport.h"
 #include "src/runtime/rt_node.h"
@@ -159,6 +163,117 @@ TYPED_TEST(EndpointTimerTest, CancelAllTimersSuppressesEverything) {
   ep.CancelAllTimers();
   this->driver_.RunFor(2 * kSecond + 500 * kMillisecond);
   EXPECT_EQ(fired.load(), 0);
+}
+
+// Counts deliveries, and those that land while the sink is not registered.
+class GatedSink final : public MessageSink {
+ public:
+  void EnqueueMessage(MsgBuffer message) override {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::yield();  // widens the window a delivery outliving Unregister would hit
+    if (!open.load(std::memory_order_acquire)) {
+      late.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  std::atomic<bool> open{false};
+  std::atomic<uint64_t> delivered{0};
+  std::atomic<uint64_t> late{0};
+};
+
+TEST(InProcConcurrencyTest, NoDeliveryAfterUnregisterReturns) {
+  // Four senders Send and Multicast to node 1 while the test thread registers and
+  // unregisters it. Unregister's contract: once it returns, no delivery is in flight, so the
+  // sink sees nothing between Unregister returning and the next Register.
+  InProcTransport transport;
+  GatedSink toggled;
+  GatedSink steady;  // keeps multicasts fanning out while node 1 is away
+  steady.open = true;
+  transport.Register(2, &steady);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> senders;
+  for (NodeId src = 10; src < 14; ++src) {
+    senders.emplace_back([&transport, &done, src]() {
+      MsgBuffer message(Bytes(64, static_cast<uint8_t>(src)));
+      const std::vector<NodeId> dsts = {1, 2};
+      for (uint64_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+        if (i % 2 == 0) {
+          transport.Send(src, 1, message);
+        } else {
+          transport.Multicast(src, dsts, message);
+        }
+        // Reader-preferring shared locks let back-to-back senders starve the writer; a
+        // pause per send leaves Unregister a window, as an event loop's idle gaps do.
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (int cycle = 0; cycle < 5000; ++cycle) {
+    toggled.open.store(true, std::memory_order_release);
+    transport.Register(1, &toggled);
+    std::this_thread::yield();
+    transport.Unregister(1);
+    toggled.open.store(false, std::memory_order_release);
+    std::this_thread::yield();
+  }
+  done = true;
+  for (std::thread& t : senders) {
+    t.join();
+  }
+  EXPECT_EQ(toggled.late.load(), 0u);
+  EXPECT_GT(toggled.delivered.load(), 0u);
+  EXPECT_GT(steady.delivered.load(), 0u);
+}
+
+TEST(InProcConcurrencyTest, ParkedLoopDispatchesEveryBurst) {
+  // Eight producers enqueue a burst each into a node whose loop parks between rounds, with
+  // no timer armed: a lost doorbell would leave the loop asleep with messages queued and the
+  // round would never finish. Each round must drain completely before the next begins.
+  constexpr int kProducers = 8;
+  constexpr int kRounds = 200;
+  constexpr int kBurst = 4;
+  InProcTransport transport;
+  RtNode node(0, &transport, 7);
+  std::atomic<uint64_t> dispatched{0};
+  node.SetHandler([&dispatched](MsgBuffer) { dispatched.fetch_add(1); });
+  node.Start();
+  std::atomic<int> round{0};
+  std::atomic<bool> give_up{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&node, &round, &give_up]() {
+      MsgBuffer message(Bytes(32, 0x7e));
+      for (int mine = 1; mine <= kRounds; ++mine) {
+        while (round.load() < mine) {
+          if (give_up.load()) {
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+        for (int i = 0; i < kBurst; ++i) {
+          node.EnqueueMessage(message);
+        }
+      }
+    });
+  }
+  for (int r = 1; r <= kRounds && !give_up; ++r) {
+    round = r;
+    const uint64_t want = static_cast<uint64_t>(r) * kProducers * kBurst;
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (dispatched.load() < want && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    if (dispatched.load() != want) {
+      ADD_FAILURE() << "round " << r << ": " << dispatched.load() << " of " << want
+                    << " messages dispatched within 10 s";
+      give_up = true;
+    }
+  }
+  give_up = true;
+  for (std::thread& t : producers) {
+    t.join();
+  }
+  node.Stop();
 }
 
 }  // namespace

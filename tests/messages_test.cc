@@ -51,6 +51,36 @@ TEST(MessagesTest, RequestDigestIgnoresAuthAndRouting) {
   EXPECT_NE(a.RequestDigest(), b.RequestDigest());
 }
 
+TEST(MessagesTest, RequestDigestIsHashOfClientTimestampAndOp) {
+  // Pins the digest's preimage, so the digests carried in pre-prepares stay wire-compatible.
+  RequestMsg m = SampleRequest();
+  Writer w;
+  w.U32(m.client);
+  w.U64(m.timestamp);
+  w.Var(m.op);
+  EXPECT_EQ(m.RequestDigest(), ComputeDigest(w.data()));
+}
+
+TEST(MessagesTest, RequestAuthContentCoversDigestNotOp) {
+  RequestMsg small = SampleRequest();
+  RequestMsg big = SampleRequest();
+  big.op = Bytes(4096, 0x5a);
+  // MAC over the fixed header plus the request digest: its cost does not grow with the op.
+  EXPECT_EQ(small.AuthContent().size(), big.AuthContent().size());
+  RequestMsg flipped = big;
+  flipped.op[2048] ^= 0x01;
+  EXPECT_NE(big.AuthContent(), flipped.AuthContent());
+  // Header fields outside the digest are still covered.
+  RequestMsg ro = small;
+  ro.read_only = !ro.read_only;
+  EXPECT_NE(small.AuthContent(), ro.AuthContent());
+  RequestMsg routed = small;
+  routed.designated_replier = 9;
+  EXPECT_NE(small.AuthContent(), routed.AuthContent());
+  // The overload for a caller holding the digest yields the same bytes.
+  EXPECT_EQ(big.AuthContent(big.RequestDigest()), big.AuthContent());
+}
+
 TEST(MessagesTest, ReplyRoundTrip) {
   ReplyMsg m;
   m.view = 3;
