@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ std::vector<Bytes> KeysInBucket(uint32_t bucket, size_t count) {
 
 struct RunResult {
   ClosedLoopLoad::Result load;
-  std::optional<MigrationReport> report;
+  std::optional<BatchMoveReport> report;
 };
 
 // One measured run. The hot bucket is pre-populated with `bucket_keys` entries; with
@@ -78,11 +79,11 @@ RunResult RunOne(size_t shards, size_t bucket_keys, bool migrate, uint64_t seed)
   }
 
   RunResult out;
-  auto report = std::make_shared<std::optional<MigrationReport>>();
+  auto report = std::make_shared<std::optional<BatchMoveReport>>();
   if (migrate) {
     cluster.sim().Schedule(kWarmup + kMigrationStart, [&coordinator, bucket, dest, report]() {
-      coordinator.StartMoveBucket(bucket, dest,
-                                  [report](const MigrationReport& r) { *report = r; });
+      coordinator.StartMoveBuckets(std::span(&bucket, 1), dest,
+                                   [report](const BatchMoveReport& r) { *report = r; });
     });
   }
 
@@ -127,7 +128,7 @@ int main() {
         ok = false;
         continue;
       }
-      const MigrationReport& report = *migr.report;
+      const BatchMoveReport& report = *migr.report;
       double dip = base.load.ops_per_second > 0
                        ? 1.0 - migr.load.ops_per_second / base.load.ops_per_second
                        : 0.0;

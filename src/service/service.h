@@ -95,11 +95,13 @@ class Service {
   //   PurgeBucketOp(b)   — drop bucket b's (sealed, already-exported) entries from local
   //                        state; space hygiene on the source after the move publishes.
   //
-  // Trust assumption, documented: these admin ops are accepted from any authenticated
-  // client — a Byzantine *client* could seal or purge a bucket it should not (the PBFT
-  // guarantee is that all correct replicas agree on the damage, not that the op was
-  // authorized). A deployment would gate MIG_* ops on an admin principal (e.g. a reserved
-  // client-id range in ReplicaConfig); wiring that ACL is reconfiguration follow-up work.
+  // Trust: these are admin ops (IsAdminOp), so they execute only for clients in the reserved
+  // admin id range (IsAdminClient, ids >= kAdminIdBase). The replica checks this before
+  // Execute() runs, both when a batch executes and on the read-only path, and answers any
+  // other client with AccessDeniedResult(); the op is still ordered, so every correct
+  // replica denies it identically and the client gets a certified error. A Byzantine
+  // regular client therefore cannot seal, purge, or move a bucket. The admin principal
+  // itself is trusted: a faulty admin client can still misdirect a migration.
   virtual std::optional<Bytes> SealBucketOp(uint32_t bucket) const { return std::nullopt; }
   virtual std::optional<Bytes> ExportBucketOp(uint32_t bucket) const { return std::nullopt; }
   virtual std::optional<Bytes> AcceptBucketOp(uint32_t bucket) const { return std::nullopt; }

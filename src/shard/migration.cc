@@ -2,9 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 
 #include "src/service/service.h"
-#include "src/sim/sim_harness.h"
 
 namespace bft {
 
@@ -37,220 +38,6 @@ void MigrationCoordinator::StampTrace(int phase) {
                                   cluster_->sim().Now());
   }
 }
-
-void MigrationCoordinator::StartMoveBucket(uint32_t bucket, size_t dest_shard,
-                                           DoneCallback done) {
-  if (active_) {
-    std::fprintf(stderr, "MigrationCoordinator: migration already active\n");
-    std::abort();
-  }
-  const ShardMap& map = cluster_->registry().current();
-  if (bucket >= ShardMap::kNumBuckets || dest_shard >= map.num_shards()) {
-    std::fprintf(stderr, "MigrationCoordinator: invalid move (bucket %u -> shard %zu)\n",
-                 bucket, dest_shard);
-    std::abort();
-  }
-
-  report_ = MigrationReport{};
-  report_.bucket = bucket;
-  report_.source_shard = map.ShardForBucket(bucket);
-  report_.dest_shard = dest_shard;
-  report_.map_version_before = map.version();
-  report_.map_version_after = map.version();
-  done_ = std::move(done);
-
-  if (report_.source_shard == dest_shard) {
-    // No-op by design: no freeze, no ops, no simulator events — byte-identical to not
-    // migrating at all (pinned by tests/migration_test.cc).
-    report_.ok = true;
-    report_.no_op = true;
-    if (done_) {
-      DoneCallback cb = std::move(done_);
-      done_ = nullptr;
-      cb(report_);
-    }
-    return;
-  }
-
-  std::optional<Bytes> seal = cluster_->op_builder()->SealBucketOp(bucket);
-  if (!seal.has_value()) {
-    report_.error = "service does not support migration";
-    if (done_) {
-      DoneCallback cb = std::move(done_);
-      done_ = nullptr;
-      cb(report_);
-    }
-    return;
-  }
-
-  active_ = true;
-  dest_touched_ = false;
-  entries_.clear();
-  next_entry_ = 0;
-  report_.freeze_start = cluster_->sim().Now();
-  trace_id_ = cluster_->tracer().enabled() ? cluster_->tracer().NextAdminOpId() : 0;
-  StampTrace(kTraceFreeze);
-  cluster_->registry().Freeze(bucket);
-  InvokeOn(report_.source_shard, std::move(*seal), [this](Bytes result) {
-    if (!IsOk(result)) {
-      Fail("seal rejected: " + ToString(result));
-      return;
-    }
-    StampTrace(kTraceSeal);
-    StepExport();
-  });
-}
-
-void MigrationCoordinator::StepExport() {
-  InvokeOn(report_.source_shard, *cluster_->op_builder()->ExportBucketOp(report_.bucket),
-           [this](Bytes blob) {
-             auto entries = Service::ParseExportedEntries(blob);
-             if (!entries.has_value()) {
-               Fail("malformed export");
-               return;
-             }
-             report_.export_bytes = blob.size();
-             report_.keys_moved = entries->size();
-             entries_ = std::move(*entries);
-             StampTrace(kTraceExport);
-             StepAccept();
-           });
-}
-
-void MigrationCoordinator::StepAccept() {
-  dest_touched_ = true;
-  InvokeOn(report_.dest_shard, *cluster_->op_builder()->AcceptBucketOp(report_.bucket),
-           [this](Bytes result) {
-             if (!IsOk(result)) {
-               Fail("accept rejected: " + ToString(result));
-               return;
-             }
-             ImportNext();
-           });
-}
-
-void MigrationCoordinator::ImportNext() {
-  if (next_entry_ >= entries_.size()) {
-    StampTrace(kTraceImport);
-    StepPublish();
-    return;
-  }
-  const auto& [key, blob] = entries_[next_entry_];
-  ++next_entry_;
-  InvokeOn(report_.dest_shard, *cluster_->op_builder()->ImportEntryOp(key, blob),
-           [this](Bytes result) {
-             if (!IsOk(result)) {
-               Fail("import rejected: " + ToString(result));
-               return;
-             }
-             ImportNext();
-           });
-}
-
-void MigrationCoordinator::StepPublish() {
-  // The atomic cut-over: bump the map version with the bucket reassigned and lift the
-  // freeze. Queued client ops re-dispatch to the destination, which now holds every entry
-  // the source had sealed.
-  cluster_->registry().Publish(
-      cluster_->registry().current().WithBucketMoved(report_.bucket, report_.dest_shard));
-  report_.publish_time = cluster_->sim().Now();
-  report_.map_version_after = cluster_->registry().version();
-  StampTrace(kTracePublish);
-
-  // Space hygiene at the source, after clients have already cut over. The seal marker stays:
-  // any straggler with a pre-publish map still gets the stale-owner signal, not a miss.
-  InvokeOn(report_.source_shard, *cluster_->op_builder()->PurgeBucketOp(report_.bucket),
-           [this](Bytes result) {
-             if (!IsOk(result)) {
-               Fail("purge rejected: " + ToString(result));
-               return;
-             }
-             report_.ok = true;
-             Finish();
-           });
-}
-
-void MigrationCoordinator::Fail(std::string error) {
-  report_.ok = false;
-  report_.error = std::move(error);
-  if (report_.publish_time != 0) {
-    // Failure after the cut-over (purge): clients are on the new map and the data moved; the
-    // migration itself is done, only the source's space was not reclaimed.
-    Finish();
-    return;
-  }
-  // Failure inside the freeze window: roll back. If the destination was touched, first
-  // discard any partially imported entries there — leaving them would resurrect keys on a
-  // later successful move of the same bucket (the source could delete a key meanwhile; the
-  // leftover import would survive the re-export and shadow the delete) — and re-seal it: the
-  // destination does not own the bucket under the unchanged map, so a straggler routed there
-  // must get the stale-owner signal, not a miss against empty state. Then un-seal the source
-  // so it serves the bucket again, and lift the freeze so queued ops re-dispatch.
-  std::optional<Bytes> purge = cluster_->op_builder()->PurgeBucketOp(report_.bucket);
-  std::optional<Bytes> seal = cluster_->op_builder()->SealBucketOp(report_.bucket);
-  if (dest_touched_ && purge.has_value() && seal.has_value()) {
-    InvokeOn(report_.dest_shard, std::move(*purge), [this, seal](Bytes) {
-      InvokeOn(report_.dest_shard, *seal, [this](Bytes) { RollbackSource(); });
-    });
-    return;
-  }
-  RollbackSource();
-}
-
-void MigrationCoordinator::RollbackSource() {
-  // Marker-only un-seal: the source's bucket data is live and must survive the rollback
-  // (accept would purge it — accept is the destination-side "prepare to receive").
-  std::optional<Bytes> unseal = UnsealOp(report_.bucket);
-  if (!unseal.has_value()) {
-    cluster_->registry().Unfreeze(report_.bucket);
-    Finish();
-    return;
-  }
-  InvokeOn(report_.source_shard, std::move(*unseal), [this](Bytes) {
-    cluster_->registry().Unfreeze(report_.bucket);
-    Finish();
-  });
-}
-
-std::optional<Bytes> MigrationCoordinator::UnsealOp(uint32_t bucket) {
-  std::optional<Bytes> unseal = cluster_->op_builder()->UnsealBucketOp(bucket);
-  if (unseal.has_value()) {
-    return unseal;
-  }
-  // Services predating the unseal/accept split fall back to accept, which for them clears
-  // the marker without purging.
-  return cluster_->op_builder()->AcceptBucketOp(bucket);
-}
-
-void MigrationCoordinator::Finish() {
-  report_.completed_time = cluster_->sim().Now();
-  StampTrace(kTraceComplete);
-  trace_id_ = 0;
-  active_ = false;
-  entries_.clear();
-  if (!report_.no_op) {
-    (report_.ok ? obs_.moves_ok : obs_.moves_failed)->Inc();
-    if (!report_.ok) {
-      obs_.rollbacks->Inc();
-    }
-    obs_.keys_moved->Inc(report_.keys_moved);
-    if (report_.map_version_after != report_.map_version_before) {
-      obs_.publishes->Inc();
-    }
-    obs_.freeze_window_us->Record(static_cast<uint64_t>(report_.freeze_window() / kMicrosecond));
-  }
-  if (done_) {
-    DoneCallback cb = std::move(done_);
-    done_ = nullptr;
-    cb(report_);
-  }
-}
-
-void MigrationCoordinator::InvokeOn(size_t shard, Bytes op, std::function<void(Bytes)> then) {
-  client_->endpoint(shard)->Invoke(std::move(op), /*read_only=*/false, std::move(then));
-}
-
-// --- Batched multi-bucket moves --------------------------------------------------------------
 
 void MigrationCoordinator::StartMoveBuckets(std::span<const uint32_t> buckets,
                                             size_t dest_shard, BatchDoneCallback done,
@@ -310,8 +97,8 @@ void MigrationCoordinator::StartMoveBuckets(std::span<const uint32_t> buckets,
   }
 
   if (batch_.empty()) {
-    // Pure no-op by design, like the single-bucket path: no freeze, no ops, no simulator
-    // events — a run containing only no-op batches is byte-identical to one without them.
+    // Pure no-op by design: no freeze, no ops, no simulator events — a run containing only
+    // no-op batches is byte-identical to one without them (pinned by tests/rebalance_test.cc).
     breport_.ok = true;
     breport_.no_op = true;
     finish_now();
@@ -628,11 +415,13 @@ void MigrationCoordinator::RollbackStep() {
     }
     if (move.stage == BucketMove::kSealed || move.stage == BucketMove::kExported ||
         move.stage == BucketMove::kAccepted || move.stage == BucketMove::kImported) {
-      // Un-seal the source so it serves the bucket again. No cursor arithmetic in the
-      // reply: marking the bucket kRolledBack and rescanning lets a deadline that fired
-      // meanwhile reset the cursor safely (the loop skips finished rollbacks).
+      // Un-seal the source so it serves the bucket again. The un-seal is marker-only: the
+      // source's bucket data is live and must survive (accept would purge it — accept is the
+      // destination-side "prepare to receive"). No cursor arithmetic in the reply: marking
+      // the bucket kRolledBack and rescanning lets a deadline that fired meanwhile reset the
+      // cursor safely (the loop skips finished rollbacks).
       rollback_waiting_on_dest_ = false;
-      InvokeBatch(move.source, *UnsealOp(move.bucket),
+      InvokeBatch(move.source, *cluster_->op_builder()->UnsealBucketOp(move.bucket),
                   [this, index, round](Bytes) {
                     if (round != resolve_round_) {
                       return;
@@ -704,6 +493,8 @@ void MigrationCoordinator::FinishBatch() {
 BatchMoveReport MigrationCoordinator::MoveBuckets(std::span<const uint32_t> buckets,
                                                   size_t dest_shard, SimTime timeout,
                                                   SimTime deadline) {
+  // Shared, not stack-captured: on timeout the coordinator still holds the done callback,
+  // which may fire during a later simulator run after this frame is gone.
   auto result = std::make_shared<std::optional<BatchMoveReport>>();
   StartMoveBuckets(buckets, dest_shard,
                    [result](const BatchMoveReport& r) { *result = r; }, deadline);
@@ -713,24 +504,6 @@ BatchMoveReport MigrationCoordinator::MoveBuckets(std::span<const uint32_t> buck
     BatchMoveReport out = breport_;
     out.ok = false;
     out.error = "timeout: batch migration still in flight";
-    return out;
-  }
-  return **result;
-}
-
-MigrationReport MigrationCoordinator::MoveBucket(uint32_t bucket, size_t dest_shard,
-                                                 SimTime timeout) {
-  // Shared, not stack-captured: on timeout the coordinator still holds the done callback,
-  // which may fire during a later simulator run after this frame is gone.
-  auto result = std::make_shared<std::optional<MigrationReport>>();
-  StartMoveBucket(bucket, dest_shard,
-                  [result](const MigrationReport& r) { *result = r; });
-  cluster_->sim().RunUntilCondition([result]() { return result->has_value(); },
-                                    cluster_->sim().Now() + timeout);
-  if (!result->has_value()) {
-    MigrationReport out = report_;
-    out.ok = false;
-    out.error = "timeout: migration still in flight";
     return out;
   }
   return **result;

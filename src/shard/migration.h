@@ -1,15 +1,16 @@
 // Live bucket migration between sharded replica groups (shard reconfiguration).
 //
-// The coordinator repurposes the machinery PR 1's versioned ShardMap was built for: moving
-// one bucket's keyed state from its owning group to another *while the system serves load*,
+// The coordinator uses the machinery the versioned ShardMap was built for: moving
+// buckets' keyed state from their owning groups to another *while the system serves load*,
 // with no operation lost or executed twice. Every step that touches replicated state is a
 // regular operation driven through the ordered pipeline (so correct replicas of each group
 // apply it at one sequence number, reply certificates form, and view changes / state
-// transfer / checkpointing cover migration state like any other state):
+// transfer / checkpointing cover migration state like any other state). One state machine
+// moves a batch of buckets to one destination; a single-bucket move is a batch of one:
 //
-//   1. Freeze   — registry_.Freeze(bucket): routers queue *new* ops for the bucket.
-//   2. Seal     — SealBucketOp ordered in the SOURCE group. Ops on the bucket ordered after
-//                 the seal return the stale-owner marker instead of executing, so every
+//   1. Freeze   — registry_.Freeze(bucket) for every bucket: routers queue *new* ops.
+//   2. Seal     — SealBucketOp ordered in the bucket's SOURCE group. Ops on the bucket ordered
+//                 after the seal return the stale-owner marker instead of executing, so every
 //                 client-visible execution at the source linearizes before the move. In-flight
 //                 ops ordered before the seal execute normally and are captured by the export.
 //   3. Export   — ExportBucketOp ordered in the source group; its certified result is the
@@ -17,19 +18,22 @@
 //   4. Accept   — AcceptBucketOp ordered in the DESTINATION group (clears any old moved-out
 //                 marker so a bucket can move away and later come back).
 //   5. Import   — one ImportEntryOp per exported entry, ordered in the destination group.
-//   6. Publish  — registry_.Publish(map.WithBucketMoved(...)): clients atomically swap to
-//                 the bumped version; queued ops re-dispatch to the new owner.
-//   7. Purge    — PurgeBucketOp ordered in the source group (space hygiene; does not gate
+//   6. Publish  — registry_.Publish(map.WithBucketsMoved(...)): ONE version bump for every
+//                 fully-imported bucket; clients atomically swap to it and queued ops
+//                 re-dispatch to the new owner.
+//   7. Purge    — PurgeBucketOp ordered in each source group (space hygiene; does not gate
 //                 clients, the seal marker keeps stale routes answered).
 //
-// On a failed step after the seal (service rejects an op, e.g. destination full) the
-// coordinator rolls back: purges any partially imported entries from the destination,
-// un-seals the source, and lifts the freeze, so the bucket keeps being served by its
-// original owner under the unchanged map version with no stray copies elsewhere.
+// Steps 2–3 (source side) and 4–5 (destination side) run as two pipelined chains, so the
+// source can export bucket k+1 while the destination imports bucket k. On a failed step
+// after a seal (service rejects an op, e.g. destination full) or an expired deadline, each
+// unfinished bucket rolls back: partial imports are purged from the destination, the source
+// is un-sealed, and the freeze lifts, so the bucket keeps being served by its original owner
+// under the unchanged assignment with no stray copies elsewhere.
 //
 // The coordinator is fully event-driven (each step is a client Invoke continuation), so a
 // migration can be started from inside a simulator event while closed-loop load runs; the
-// synchronous MoveBucket wrapper drives the simulator until completion for tests.
+// synchronous MoveBuckets wrapper drives the simulator until completion for tests.
 #ifndef SRC_SHARD_MIGRATION_H_
 #define SRC_SHARD_MIGRATION_H_
 
@@ -43,29 +47,7 @@
 
 namespace bft {
 
-struct MigrationReport {
-  bool ok = false;
-  bool no_op = false;  // destination already owned the bucket; nothing was done
-  uint32_t bucket = 0;
-  size_t source_shard = 0;
-  size_t dest_shard = 0;
-  size_t keys_moved = 0;
-  size_t export_bytes = 0;
-  uint64_t map_version_before = 0;
-  uint64_t map_version_after = 0;  // == before when the move did not publish
-  SimTime freeze_start = 0;
-  SimTime publish_time = 0;
-  SimTime completed_time = 0;  // purge done (source space reclaimed)
-  std::string error;           // non-empty iff !ok
-
-  // The window during which client ops against the bucket are queued rather than served;
-  // zero for moves that never published (no-ops, rollbacks, timeouts).
-  SimTime freeze_window() const {
-    return publish_time >= freeze_start ? publish_time - freeze_start : 0;
-  }
-};
-
-// Result of a batched multi-bucket move (MoveBuckets). The batch amortizes the freeze
+// Result of a bucket move (MoveBuckets / StartMoveBuckets). The batch amortizes the freeze
 // window and the map publish over the whole bucket set: every migrating bucket freezes at
 // once, data moves bucket by bucket with the source's exports pipelined against the
 // destination's imports (two replica groups working concurrently), and ownership of all
@@ -106,29 +88,17 @@ struct BatchMoveReport {
 
 class MigrationCoordinator {
  public:
-  using DoneCallback = std::function<void(const MigrationReport&)>;
   using BatchDoneCallback = std::function<void(const BatchMoveReport&)>;
 
   // Creates the coordinator's own *admin* client (one endpoint per group, ids in the
   // reserved admin range — the only identity replicas accept MIG_* ops from) on `cluster`.
   explicit MigrationCoordinator(ShardedCluster* cluster);
 
-  // Starts moving `bucket` to `dest_shard`; `done` fires (possibly synchronously, for no-op
-  // moves) when the migration completes or fails. One migration at a time. A move whose
-  // destination already owns the bucket is a pure no-op: it issues no operations and touches
-  // neither the registry nor the simulator, so a run containing only no-op moves is
-  // byte-identical to one with no migration at all.
-  void StartMoveBucket(uint32_t bucket, size_t dest_shard, DoneCallback done);
-
-  // Synchronous wrapper: StartMoveBucket + run the simulator until done (or `timeout` of
-  // simulated time, which fails the report but leaves the migration running).
-  MigrationReport MoveBucket(uint32_t bucket, size_t dest_shard,
-                             SimTime timeout = 120 * kSecond);
-
-  // Starts a batched move of `buckets` (deduplicated; those already at `dest_shard` are
-  // skipped) to one destination group. One batch or single move at a time. A batch whose
-  // every bucket is already at the destination is a pure no-op: no ops, no freeze, no
-  // simulator events — byte-identical to not calling it at all.
+  // Starts moving `buckets` (deduplicated; those already at `dest_shard` are skipped) to one
+  // destination group; `done` fires (possibly synchronously, for no-op batches) when the
+  // move completes or fails. One batch at a time; a single-bucket move is a batch of one. A
+  // batch whose every bucket is already at the destination is a pure no-op: no ops, no
+  // freeze, no simulator events — byte-identical to not calling it at all.
   //
   // `deadline` (> 0) bounds the batch in simulated time: if it has not completed, the
   // coordinator aborts — publishing NOTHING and rolling the sealed buckets back at their
@@ -138,28 +108,14 @@ class MigrationCoordinator {
   void StartMoveBuckets(std::span<const uint32_t> buckets, size_t dest_shard,
                         BatchDoneCallback done, SimTime deadline = 0);
 
-  // Synchronous wrapper: StartMoveBuckets + run the simulator until done (or `timeout`).
+  // Synchronous wrapper: StartMoveBuckets + run the simulator until done (or `timeout` of
+  // simulated time, which fails the report but leaves the batch running).
   BatchMoveReport MoveBuckets(std::span<const uint32_t> buckets, size_t dest_shard,
                               SimTime timeout = 120 * kSecond, SimTime deadline = 0);
 
   bool active() const { return active_; }
 
  private:
-  // Orders `op` in `shard`'s group through the admin client; `then(result)` continues the
-  // state machine. Client-level retransmission rides out view changes in the target group.
-  void InvokeOn(size_t shard, Bytes op, std::function<void(Bytes)> then);
-  // Marker-only un-seal for rollback (UnsealBucketOp, falling back to AcceptBucketOp for
-  // services predating the split). nullopt only for services without migration support.
-  std::optional<Bytes> UnsealOp(uint32_t bucket);
-  void StepExport();
-  void StepAccept();
-  void ImportNext();
-  void StepPublish();
-  void Fail(std::string error);
-  void RollbackSource();
-  void Finish();
-
-  // --- Batched moves -----------------------------------------------------------------------
   // Two pipelined chains share the admin client: the *source* chain seals and exports bucket
   // after bucket (endpoints of the owning groups), the *destination* chain accepts and
   // imports each bucket as soon as its export lands (the destination group's endpoint).
@@ -194,11 +150,6 @@ class MigrationCoordinator {
   ShardedCluster* cluster_;
   ShardedClient* client_;  // admin endpoints, owned by the cluster
   bool active_ = false;
-  bool dest_touched_ = false;  // the destination's accept was issued (rollback must undo it)
-  MigrationReport report_;
-  DoneCallback done_;
-  std::vector<std::pair<Bytes, Bytes>> entries_;
-  size_t next_entry_ = 0;
 
   // Batch state (valid while a batch is active).
   std::vector<BucketMove> batch_;
@@ -221,14 +172,14 @@ class MigrationCoordinator {
   BatchMoveReport breport_;
   BatchDoneCallback bdone_;
 
-  // Admin-op timeline (kind=kMigration): opened at the freeze, retired by Finish /
-  // FinishBatch; 0 while no traced move is active. Milestones record the FIRST time the
+  // Admin-op timeline (kind=kMigration): opened at the freeze, retired by FinishBatch; 0
+  // while no traced move is active. Milestones record the FIRST time the
   // move reached each stage, so batch phases read as pipeline onsets.
   void StampTrace(int phase);
   uint64_t trace_id_ = 0;
 
-  // Pre-resolved instruments in the cluster's registry; recorded when a move/batch resolves
-  // (Finish/FinishBatch), never on the per-op path, so migration metrics cost nothing while
+  // Pre-resolved instruments in the cluster's registry; recorded when a batch resolves
+  // (FinishBatch), never on the per-op path, so migration metrics cost nothing while
   // data is moving.
   struct Obs {
     Counter* moves_ok = nullptr;

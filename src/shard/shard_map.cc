@@ -45,14 +45,6 @@ std::vector<uint32_t> ShardMap::BucketsOf(size_t shard) const {
   return out;
 }
 
-ShardMap ShardMap::WithBucketMoved(uint32_t bucket, size_t new_shard) const {
-  Require(bucket < kNumBuckets, "bucket out of range");
-  Require(new_shard < num_shards_, "target shard out of range");
-  std::vector<uint32_t> owner = owner_;
-  owner[bucket] = static_cast<uint32_t>(new_shard);
-  return ShardMap(num_shards_, version_ + 1, std::move(owner));
-}
-
 ShardMap ShardMap::WithBucketsMoved(const std::vector<uint32_t>& buckets,
                                     size_t new_shard) const {
   Require(new_shard < num_shards_, "target shard out of range");

@@ -53,12 +53,10 @@ class ShardMap {
   // Buckets currently owned by `shard` (diagnostics and migration planning).
   std::vector<uint32_t> BucketsOf(size_t shard) const;
 
-  // Derives the next version with one bucket reassigned (the reconfiguration primitive the
-  // migration coordinator publishes after a bucket's data has moved).
-  ShardMap WithBucketMoved(uint32_t bucket, size_t new_shard) const;
-
-  // Batch form: one version bump with every listed bucket reassigned — a batched migration
-  // amortizes the publish (and the routers' re-dispatch churn) over the whole bucket set.
+  // Derives the next version with every listed bucket reassigned (the reconfiguration
+  // primitive the migration coordinator publishes once the buckets' data has moved): one
+  // version bump, so a batched migration amortizes the publish (and the routers' re-dispatch
+  // churn) over the whole bucket set.
   ShardMap WithBucketsMoved(const std::vector<uint32_t>& buckets, size_t new_shard) const;
 
   // Wire form, so a map version can be shipped to clients / other processes and swapped in

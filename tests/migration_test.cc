@@ -1,10 +1,13 @@
-// Live bucket migration: freeze/seal/export/import/publish lifecycle, version-aware client
-// routing (freeze queueing and stale-owner re-routes), interaction with view changes, and
-// the no-op-move byte-identity guarantee.
+// Live bucket migration of one bucket (a batch of one): freeze/seal/export/import/publish
+// lifecycle, version-aware client routing (freeze queueing and stale-owner re-routes),
+// interaction with view changes, and the migration metrics of committed and rolled-back
+// moves. Multi-bucket batches and the no-op byte-identity guarantee live in
+// rebalance_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +51,7 @@ std::vector<Bytes> KeysInBucket(uint32_t bucket, size_t count, const std::string
 // --- ShardMap wire format ------------------------------------------------------------------
 
 TEST(ShardMapSerializationTest, RoundTripsAndRejectsMalformedInput) {
-  ShardMap map = ShardMap(4).WithBucketMoved(7, 2).WithBucketMoved(4000, 0);
+  ShardMap map = ShardMap(4).WithBucketsMoved({7}, 2).WithBucketsMoved({4000}, 0);
   Bytes wire = map.Encode();
   std::optional<ShardMap> decoded = ShardMap::Decode(wire);
   ASSERT_TRUE(decoded.has_value());
@@ -85,10 +88,11 @@ TEST(MigrationTest, MovedBucketKeysServedByNewOwnerWithPreMoveValues) {
     ASSERT_EQ(ToString(*r), "ok");
   }
 
-  MigrationReport report = coordinator.MoveBucket(bucket, 1);
+  EXPECT_EQ(cluster.shard_map().ShardForBucket(bucket), 0u) << "source before the move";
+  BatchMoveReport report = coordinator.MoveBuckets(std::vector<uint32_t>{bucket}, 1);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_FALSE(report.no_op);
-  EXPECT_EQ(report.source_shard, 0u);
+  EXPECT_EQ(report.moved, std::vector<uint32_t>{bucket});
   EXPECT_EQ(report.dest_shard, 1u);
   EXPECT_EQ(report.keys_moved, keys.size());
   EXPECT_GT(report.export_bytes, 0u);
@@ -126,7 +130,7 @@ TEST(MigrationTest, MoveEmitsCompleteAdminTimeline) {
     ASSERT_TRUE(cluster.Execute(client, KvService::PutOp(key, ToBytes("v"))).has_value());
   }
 
-  MigrationReport report = coordinator.MoveBucket(0, 1);
+  BatchMoveReport report = coordinator.MoveBuckets(std::vector<uint32_t>{0}, 1);
   ASSERT_TRUE(report.ok) << report.error;
 
   std::vector<TraceTimeline> moves;
@@ -157,7 +161,8 @@ TEST(MigrationTest, UnsupportedServiceFailsCleanlyWithoutFreezing) {
   MigrationCoordinator coordinator(&cluster);
   uint64_t version_before = cluster.registry().version();
 
-  MigrationReport report = coordinator.MoveBucket(/*bucket=*/2, /*dest_shard=*/1);
+  BatchMoveReport report =
+      coordinator.MoveBuckets(std::vector<uint32_t>{2}, /*dest_shard=*/1);
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.error.empty());
   EXPECT_EQ(cluster.registry().version(), version_before);
@@ -189,7 +194,7 @@ TEST(MigrationTest, FrozenBucketOpsQueueUntilPublish) {
   EXPECT_EQ(client->router_stats().frozen_queued, 1u);
 
   // Publishing the moved map re-dispatches to the new owner; the op completes there.
-  cluster.registry().Publish(cluster.shard_map().WithBucketMoved(bucket, 1));
+  cluster.registry().Publish(cluster.shard_map().WithBucketsMoved({bucket}, 1));
   cluster.sim().RunUntilCondition([&]() { return completed; },
                                   cluster.sim().Now() + 30 * kSecond);
   ASSERT_TRUE(completed);
@@ -248,7 +253,7 @@ TEST(MigrationTest, StaleMapClientIsReroutedInsteadOfMisdirected) {
 
   // Completing the migration freezes (parking the retrying op), moves the data, and
   // publishes the new map; the op re-routes and executes at the destination, exactly once.
-  MigrationReport report = coordinator.MoveBucket(bucket, 1);
+  BatchMoveReport report = coordinator.MoveBuckets(std::vector<uint32_t>{bucket}, 1);
   ASSERT_TRUE(report.ok) << report.error;
   cluster.sim().RunUntilCondition([&]() { return completed; },
                                   cluster.sim().Now() + 30 * kSecond);
@@ -292,12 +297,12 @@ std::vector<std::string> RunScript(bool migrate, uint64_t seed) {
     run_op(KvService::PutOp(hot[i], ToBytes("seed-" + std::to_string(i))), false);
   }
 
-  std::shared_ptr<std::optional<MigrationReport>> report =
-      std::make_shared<std::optional<MigrationReport>>();
+  std::shared_ptr<std::optional<BatchMoveReport>> report =
+      std::make_shared<std::optional<BatchMoveReport>>();
   if (migrate) {
     cluster.sim().Schedule(20 * kMillisecond, [&coordinator, bucket, report]() {
-      coordinator.StartMoveBucket(bucket, 1,
-                                  [report](const MigrationReport& r) { *report = r; });
+      coordinator.StartMoveBuckets(std::span(&bucket, 1), 1,
+                                   [report](const BatchMoveReport& r) { *report = r; });
     });
   }
 
@@ -363,7 +368,8 @@ TEST(MigrationTest, MoveCompletesWhileSourceGroupChangesView) {
   // and the new primary's request replay).
   NodeId primary = cluster.CurrentPrimary(0);
   cluster.replica(0, cluster.config(0).ReplicaIndex(primary))->Crash();
-  MigrationReport report = coordinator.MoveBucket(bucket, 1, /*timeout=*/120 * kSecond);
+  BatchMoveReport report =
+      coordinator.MoveBuckets(std::vector<uint32_t>{bucket}, 1, /*timeout=*/120 * kSecond);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.keys_moved, keys.size());
 
@@ -383,50 +389,106 @@ TEST(MigrationTest, MoveCompletesWhileSourceGroupChangesView) {
   }
 }
 
-// --- S=1 no-op move is byte-identical to no migration --------------------------------------
+// --- Migration metrics, and the freeze window of a rolled-back move ----------------------
 
-struct RunOutcome {
-  std::vector<std::string> results;
-  uint64_t events;
-  SimTime now;
-  Digest root_digest;
-
-  bool operator==(const RunOutcome& other) const {
-    return results == other.results && events == other.events && now == other.now &&
-           root_digest == other.root_digest;
-  }
-};
-
-RunOutcome RunSingleShard(bool noop_move, uint64_t seed) {
-  ShardedCluster cluster(Options(1, seed), KvFactory());
+// Two one-bucket moves on one coordinator: one commits, one rolls back because the
+// destination fills up mid-import. The bft_migration_* instruments count each outcome, and
+// the rolled-back move reports the time its bucket really stayed frozen: until the rollback
+// lifted the freeze.
+TEST(MigrationTest, MetricsCountCommittedAndRolledBackMovesWithTheirFreezeWindows) {
+  ShardedClusterOptions options = Options(2, 137);
+  // Two pages -> (8192 - 512) / 256 = 30 KV slots per group (see
+  // BatchMoveTest.MidBatchFailureRollsBackOnlyUnfinishedBuckets).
+  options.config.state_pages = 2;
+  ShardedCluster cluster(options, KvFactory());
   ShardedClient* client = cluster.AddClient();
   MigrationCoordinator coordinator(&cluster);
-  RunOutcome out;
-  for (int i = 0; i < 10; ++i) {
-    auto r = cluster.Execute(client,
-                             KvService::PutOp(ToBytes("k" + std::to_string(i)), ToBytes("v")));
-    EXPECT_TRUE(r.has_value());
-    out.results.push_back(r.has_value() ? ToString(*r) : "<timeout>");
-    if (noop_move && i == 4) {
-      // Destination already owns every bucket at S=1: the coordinator must detect the no-op
-      // and issue nothing — no ops, no freeze, no simulator events.
-      MigrationReport report = coordinator.MoveBucket(/*bucket=*/3, /*dest_shard=*/0);
-      EXPECT_TRUE(report.ok);
-      EXPECT_TRUE(report.no_op);
-      EXPECT_EQ(report.keys_moved, 0u);
-      EXPECT_EQ(report.map_version_after, report.map_version_before);
+
+  // Pre-fill the destination so the small bucket fits and the big one cannot.
+  size_t dest_resident = 0;
+  for (int i = 0; dest_resident < 18 && i < 4'000'000; ++i) {
+    Bytes key = ToBytes("dst-" + std::to_string(i));
+    if (cluster.shard_map().ShardForKey(key) != 1) {
+      continue;
+    }
+    ASSERT_EQ(ToString(*cluster.Execute(client, KvService::PutOp(key, ToBytes("d")))), "ok");
+    ++dest_resident;
+  }
+  uint32_t small = 0;
+  uint32_t big = 2;
+  ASSERT_EQ(cluster.shard_map().ShardForBucket(small), 0u);
+  ASSERT_EQ(cluster.shard_map().ShardForBucket(big), 0u);
+  std::vector<Bytes> small_keys = KeysInBucket(small, 4, "ms-");
+  std::vector<Bytes> big_keys = KeysInBucket(big, 12, "mb-");
+  for (const std::vector<Bytes>* keys : {&small_keys, &big_keys}) {
+    for (const Bytes& key : *keys) {
+      ASSERT_EQ(ToString(*cluster.Execute(
+                    client, KvService::PutOp(key, ToBytes("keep-" + ToString(key))))),
+                "ok");
     }
   }
-  out.events = cluster.sim().executed_events();
-  out.now = cluster.sim().Now();
-  out.root_digest = cluster.replica(0, 0)->state().CurrentRootDigest();
-  return out;
-}
 
-TEST(MigrationTest, NoOpMoveIsByteIdenticalToNoMigration) {
-  RunOutcome with = RunSingleShard(/*noop_move=*/true, 131);
-  RunOutcome without = RunSingleShard(/*noop_move=*/false, 131);
-  EXPECT_TRUE(with == without);
+  MetricsRegistry& metrics = cluster.metrics();
+  Counter* moves_ok = metrics.GetCounter("bft_migration_moves_ok_total");
+  Counter* moves_failed = metrics.GetCounter("bft_migration_moves_failed_total");
+  Counter* rollbacks = metrics.GetCounter("bft_migration_rollbacks_total");
+  Counter* publishes = metrics.GetCounter("bft_migration_publishes_total");
+  Counter* keys_moved = metrics.GetCounter("bft_migration_keys_moved_total");
+  Histogram* freeze_window = metrics.GetHistogram("bft_migration_freeze_window_us");
+  struct Snapshot {
+    uint64_t ok, failed, rollbacks, publishes, keys, windows;
+  };
+  auto snapshot = [&]() {
+    return Snapshot{moves_ok->value(),  moves_failed->value(), rollbacks->value(),
+                    publishes->value(), keys_moved->value(),   freeze_window->count()};
+  };
+
+  // A committed move: one ok, one publish, its keys, one freeze window.
+  Snapshot before = snapshot();
+  BatchMoveReport committed = coordinator.MoveBuckets(std::vector<uint32_t>{small}, 1);
+  ASSERT_TRUE(committed.ok) << committed.error;
+  EXPECT_EQ(committed.keys_moved, small_keys.size());
+  Snapshot after = snapshot();
+  EXPECT_EQ(after.ok, before.ok + 1);
+  EXPECT_EQ(after.failed, before.failed);
+  EXPECT_EQ(after.rollbacks, before.rollbacks);
+  EXPECT_EQ(after.publishes, before.publishes + 1);
+  EXPECT_EQ(after.keys, before.keys + small_keys.size());
+  EXPECT_EQ(after.windows, before.windows + 1);
+
+  // A rolled-back move: the destination fills up partway through the imports.
+  before = after;
+  uint64_t version_before = cluster.registry().version();
+  BatchMoveReport rolled = coordinator.MoveBuckets(std::vector<uint32_t>{big}, 1);
+  EXPECT_FALSE(rolled.ok);
+  EXPECT_NE(rolled.error.find("import rejected"), std::string::npos) << rolled.error;
+  EXPECT_TRUE(rolled.moved.empty());
+  EXPECT_EQ(rolled.rolled_back, std::vector<uint32_t>{big});
+  EXPECT_EQ(rolled.publishes, 0u);
+  EXPECT_EQ(cluster.registry().version(), version_before);
+  after = snapshot();
+  EXPECT_EQ(after.ok, before.ok);
+  EXPECT_EQ(after.failed, before.failed + 1);
+  EXPECT_EQ(after.rollbacks, before.rollbacks + 1);
+  EXPECT_EQ(after.publishes, before.publishes);
+  EXPECT_EQ(after.keys, before.keys);
+  EXPECT_EQ(after.windows, before.windows + 1);
+
+  // The bucket was frozen from the freeze until the rollback lifted it.
+  EXPECT_GT(rolled.freeze_window(), 0);
+  EXPECT_EQ(rolled.freeze_window(), rolled.completed_time - rolled.freeze_start);
+
+  // Unfrozen, still owned and served by the source, every value intact; no stray copies at
+  // the destination.
+  EXPECT_FALSE(coordinator.active());
+  EXPECT_FALSE(cluster.registry().IsFrozen(big));
+  EXPECT_EQ(cluster.shard_map().ShardForBucket(big), 0u);
+  for (const Bytes& key : big_keys) {
+    auto r = cluster.Execute(client, KvService::GetOp(key), /*read_only=*/true);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(ToString(*r), "keep-" + ToString(key));
+  }
+  EXPECT_TRUE(cluster.replica(1, 0)->service()->EnumerateBucket(big).empty());
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(BucketStatsTest, LoadPerShardFollowsTheMap) {
   EXPECT_DOUBLE_EQ(per_shard[0], 2.0);
   EXPECT_DOUBLE_EQ(per_shard[1], 1.0);
   // After moving bucket 2, its load follows the new owner.
-  std::vector<double> moved = snap.LoadPerShard(map.WithBucketMoved(2, 1));
+  std::vector<double> moved = snap.LoadPerShard(map.WithBucketsMoved({2}, 1));
   EXPECT_DOUBLE_EQ(moved[0], 1.0);
   EXPECT_DOUBLE_EQ(moved[1], 2.0);
 }
@@ -312,7 +312,8 @@ TEST(BatchMoveTest, DuplicatesAndAlreadyOwnedBucketsAreSkipped) {
   EXPECT_EQ(report.publishes, 1u);
 }
 
-// A batch that is entirely a no-op issues nothing: byte-identical to no call at all.
+// A batch that is entirely a no-op issues nothing: byte-identical to no call at all. A
+// no-op single-bucket move is the same code path (a batch of one).
 struct RunOutcome {
   std::vector<std::string> results;
   uint64_t events;
@@ -346,6 +347,8 @@ RunOutcome RunSingleShard(bool noop_batch, uint64_t seed) {
       EXPECT_TRUE(report.no_op);
       EXPECT_EQ(report.publishes, 0u);
       EXPECT_EQ(report.skipped.size(), 3u);
+      EXPECT_EQ(report.keys_moved, 0u);
+      EXPECT_EQ(report.map_version_after, report.map_version_before);
     }
   }
   out.events = cluster.sim().executed_events();

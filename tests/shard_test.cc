@@ -87,7 +87,7 @@ TEST(ShardMapTest, MovingABucketBumpsTheVersion) {
   ShardMap map(2);
   uint32_t bucket = 0;  // owned by shard 0 under round-robin
   ASSERT_EQ(map.ShardForBucket(bucket), 0u);
-  ShardMap next = map.WithBucketMoved(bucket, 1);
+  ShardMap next = map.WithBucketsMoved({bucket}, 1);
   EXPECT_EQ(next.version(), map.version() + 1);
   EXPECT_EQ(next.ShardForBucket(bucket), 1u);
   // Only that bucket moved.
