@@ -1,11 +1,6 @@
 // E7 — Checkpoint creation cost (thesis Section 8.4.1): copy-on-write checkpointing cost as a
-// function of state size and the fraction of pages modified per checkpoint epoch.
-//
-// Two measurements:
-//  - simulated digest cost charged by the model (what a replica pays in protocol time)
-//  - real wall-clock time of the data structure itself (google-benchmark)
-#include <benchmark/benchmark.h>
-
+// function of state size and the fraction of pages modified per checkpoint epoch, as the
+// simulated digest cost the model charges (what a replica pays in protocol time).
 #include "bench/bench_util.h"
 #include "src/core/state.h"
 
@@ -30,39 +25,9 @@ void TouchPages(ReplicaState* state, size_t count, Rng* rng) {
   }
 }
 
-// Real-time micro-benchmark of TakeCheckpoint, registered with google-benchmark.
-void BM_TakeCheckpoint(benchmark::State& bench_state) {
-  size_t mb = static_cast<size_t>(bench_state.range(0));
-  size_t dirty = static_cast<size_t>(bench_state.range(1));
-  ReplicaConfig config = StateConfig(mb);
-  PerfModel model;
-  ReplicaState state(&config, &model);
-  state.Baseline({});
-  Rng rng(99);
-  SeqNo seq = 0;
-  for (auto _ : bench_state) {
-    bench_state.PauseTiming();
-    TouchPages(&state, dirty, &rng);
-    seq += 128;
-    bench_state.ResumeTiming();
-    benchmark::DoNotOptimize(state.TakeCheckpoint(seq, {}, nullptr));
-    bench_state.PauseTiming();
-    state.DiscardCheckpointsBelow(seq);
-    bench_state.ResumeTiming();
-  }
-  bench_state.counters["dirty_pages"] = static_cast<double>(dirty);
-}
-BENCHMARK(BM_TakeCheckpoint)
-    ->Args({4, 16})
-    ->Args({4, 128})
-    ->Args({16, 16})
-    ->Args({16, 128})
-    ->Args({64, 128})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintHeader("E7", "checkpoint creation cost (copy-on-write + incremental AdHash digests)");
 
   PerfModel model;
@@ -87,9 +52,5 @@ int main(int argc, char** argv) {
   std::printf("  - cost scales with the number of *modified* pages, not total state size\n");
   std::printf("    (copy-on-write + incremental digests)\n");
   std::printf("  - per-dirty-page cost is flat: the tree update above each page is O(levels)\n");
-
-  std::printf("\nreal-time micro-benchmark of the data structure:\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

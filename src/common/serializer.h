@@ -105,6 +105,18 @@ class Reader {
     return Raw(n);
   }
 
+  // Element count of a length-prefixed sequence. Every element takes at least one byte, so a
+  // count above the bytes left is malformed: rejecting it here keeps a tiny message from
+  // making its decoder size a huge container.
+  uint32_t Count() {
+    uint32_t n = U32();
+    if (n > remaining()) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
   std::string Str() {
     Bytes b = Var();
     return std::string(b.begin(), b.end());

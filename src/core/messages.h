@@ -1,19 +1,40 @@
 // Protocol message types and wire formats (thesis Fig 6-1 and Chapters 2-5).
 //
-// Every message consists of a one-byte type tag, a body, and an authentication trailer (an
-// authenticator — one MAC per replica —, a single MAC, or a signature, depending on message
-// type and AuthMode). `AuthContent()` returns the bytes covered by authentication: the body
-// with the trailer excluded, except that a request's op, a reply's result and a pre-prepare's
-// batch are covered through their digests, as in the real library's MAC-over-fixed-header
-// scheme (Fig 6-1).
+// Every message is a one-byte type tag (MsgType), a body, and an authentication trailer
+// `auth`: an authenticator (one MAC per replica), a single MAC, or a signature, depending on
+// message type and AuthMode.
 //
-// Decoding is defensive (Byzantine senders): `Decode*` returns false on malformed input.
+// One field list per type. Each struct names its body fields once, in wire order and without
+// `auth`, in `static auto Fields(auto& m)`. That list drives the encoder (WireWriter), the
+// decoder (WireReader) and, for every type whose MAC covers its whole body, `AuthContent()`
+// (and ViewChangeMsg::MessageDigest(), which hashes the same bytes). A field's C++ type fixes
+// its wire form: uint32_t/NodeId -> 4 bytes, uint64_t -> 8 (little-endian), bool -> 1,
+// Bytes -> U32 length + bytes, Digest -> 16 raw bytes, std::pair -> both members in order,
+// std::vector -> U32 count + elements, a nested struct -> its own fields, then its `auth` if
+// it has one.
+//
+// Five types authenticate less than their body, deliberately, and write AuthContent() by hand:
+//  - Request: the header plus the request digest; the op is hashed once, so MAC cost does not
+//    grow with its size.
+//  - Reply: the header plus the result digest, no result bytes; a digest reply and a full
+//    reply authenticate identically (Section 5.1.1).
+//  - PrePrepare: view, seq and BatchDigest(); the batch is covered through its digest.
+//  - NewView: no payloads; each is checked against the chosen digests.
+//  - BatchReply: the replica only; the payload is checked against the digest that was fetched.
+// DataMsg has no MAC at all: the fetcher checks each page against a known digest.
+//
+// Decoding is defensive: every node decodes a datagram before it checks the MAC, so any sender
+// reaches the decoder. DecodeMessage returns nullopt on malformed input or trailing bytes. A
+// vector's count may not exceed the bytes left (every element takes at least one), and the
+// vector grows only as elements decode, so a tiny datagram cannot force a large allocation.
 #ifndef SRC_CORE_MESSAGES_H_
 #define SRC_CORE_MESSAGES_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -49,6 +70,90 @@ enum class MsgType : uint8_t {
 using View = uint64_t;
 using SeqNo = uint64_t;
 
+// --- Field-list codec -----------------------------------------------------------------------
+
+// A struct with a field list (see the header comment).
+template <typename M>
+concept WireStruct = requires(M& m) { M::Fields(m); };
+
+// Encodes values by their C++ type.
+struct WireWriter {
+  Writer& w;
+
+  void operator()(uint32_t v) const { w.U32(v); }
+  void operator()(uint64_t v) const { w.U64(v); }
+  void operator()(bool v) const { w.Bool(v); }
+  void operator()(const Bytes& v) const { w.Var(v); }
+  void operator()(const Digest& d) const { w.Raw(d.View()); }
+  template <typename A, typename B>
+  void operator()(const std::pair<A, B>& p) const {
+    (*this)(p.first);
+    (*this)(p.second);
+  }
+  template <typename T>
+  void operator()(const std::vector<T>& v) const {
+    w.U32(static_cast<uint32_t>(v.size()));
+    for (const T& e : v) {
+      (*this)(e);
+    }
+  }
+  template <WireStruct M>
+  void operator()(const M& m) const {
+    std::apply([this](const auto&... f) { ((*this)(f), ...); }, M::Fields(m));
+    if constexpr (requires { m.auth; }) {
+      w.Var(m.auth);
+    }
+  }
+};
+
+// Decodes values by their C++ type. After a failure the Reader is !ok() and the rest reads as
+// zeros; callers check ok() once at the end.
+struct WireReader {
+  Reader& r;
+
+  void operator()(uint32_t& v) const { v = r.U32(); }
+  void operator()(uint64_t& v) const { v = r.U64(); }
+  void operator()(bool& v) const { v = r.Bool(); }
+  void operator()(Bytes& v) const { v = r.Var(); }
+  void operator()(Digest& d) const;
+  template <typename A, typename B>
+  void operator()(std::pair<A, B>& p) const {
+    (*this)(p.first);
+    (*this)(p.second);
+  }
+  template <typename T>
+  void operator()(std::vector<T>& v) const {
+    uint32_t n = r.Count();
+    v.clear();
+    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+      (*this)(v.emplace_back());
+    }
+  }
+  template <WireStruct M>
+  void operator()(M& m) const {
+    std::apply([this](auto&... f) { ((*this)(f), ...); }, M::Fields(m));
+    if constexpr (requires { m.auth; }) {
+      m.auth = r.Var();
+    }
+  }
+};
+
+// The encoding of `fields` in order, with no tag and no length: the MAC'd content and digest
+// preimages.
+template <typename... T>
+Bytes WireBytes(const T&... fields) {
+  Writer w(64);
+  (WireWriter{w}(fields), ...);
+  return w.Take();
+}
+
+// A struct's field list encoded without `auth`: the AuthContent() of a type whose MAC covers
+// its whole body.
+template <WireStruct M>
+Bytes FieldBytes(const M& m) {
+  return std::apply([](const auto&... f) { return WireBytes(f...); }, M::Fields(m));
+}
+
 // --- Request / Reply ------------------------------------------------------------------------
 
 struct RequestMsg {
@@ -64,14 +169,15 @@ struct RequestMsg {
   // call, never cached: a cached value would go stale when a field changes.
   Digest RequestDigest() const;
 
-  void EncodeBody(Writer& w) const;
+  static auto Fields(auto& m) {
+    return std::tie(m.client, m.timestamp, m.read_only, m.designated_replier, m.op);
+  }
   // The fixed header (client, timestamp, read_only, designated_replier) plus the request
   // digest, as ReplyMsg's MAC covers the result digest (Fig 6-1): the op is hashed once, and
   // MAC cost does not grow with its size.
   Bytes AuthContent() const { return AuthContent(RequestDigest()); }
   // The same bytes for a caller that already computed `digest` = RequestDigest().
   Bytes AuthContent(const Digest& digest) const;
-  static bool DecodeBody(Reader& r, RequestMsg* out);
 };
 
 struct ReplyMsg {
@@ -85,9 +191,13 @@ struct ReplyMsg {
   Digest result_digest;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
+  static auto Fields(auto& m) {
+    return std::tie(m.view, m.timestamp, m.client, m.replica, m.tentative, m.has_result,
+                    m.result, m.result_digest);
+  }
+  // The fixed header plus the result digest (Fig 6-1): the bulk result is checked against the
+  // digest, so MAC cost does not grow with its size.
   Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, ReplyMsg* out);
 };
 
 // --- Normal case ------------------------------------------------------------------------------
@@ -111,9 +221,11 @@ struct PrePrepareMsg {
   // Ordered request digests (inline first, then separate), i.e. the execution order.
   std::vector<Digest> OrderedRequestDigests() const;
 
-  void EncodeBody(Writer& w) const;
+  static auto Fields(auto& m) {
+    return std::tie(m.view, m.seq, m.ndet, m.inline_requests, m.separate_digests);
+  }
+  // The fixed-size header: view, seq, and the batch digest (Fig 6-1 pre-prepare header).
   Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, PrePrepareMsg* out);
 };
 
 struct PrepareMsg {
@@ -123,9 +235,8 @@ struct PrepareMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, PrepareMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.view, m.seq, m.batch_digest, m.replica); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct CommitMsg {
@@ -135,9 +246,8 @@ struct CommitMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, CommitMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.view, m.seq, m.batch_digest, m.replica); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct CheckpointMsg {
@@ -146,9 +256,8 @@ struct CheckpointMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, CheckpointMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.seq, m.state_digest, m.replica); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- View changes (Chapter 3) -----------------------------------------------------------------
@@ -163,22 +272,25 @@ struct ViewChangeMsg {
     SeqNo seq = 0;
     Digest d;
     View view = 0;
+    static auto Fields(auto& e) { return std::tie(e.seq, e.d, e.view); }
   };
   std::vector<PEntry> p;
   // Q: requests pre-prepared at the sender; bounded per-seq history (Section 3.2.5).
   struct QEntry {
     SeqNo seq = 0;
     std::vector<std::pair<Digest, View>> dv;  // (digest, latest view it pre-prepared in)
+    static auto Fields(auto& e) { return std::tie(e.seq, e.dv); }
   };
   std::vector<QEntry> q;
   NodeId replica = 0;
   Bytes auth;
 
-  Digest MessageDigest() const;  // digest acknowledged by view-change-acks
-
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, ViewChangeMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.view, m.h, m.checkpoints, m.p, m.q, m.replica);
+  }
+  Bytes AuthContent() const { return FieldBytes(*this); }
+  // Digest acknowledged by view-change-acks: the hash of AuthContent().
+  Digest MessageDigest() const { return ComputeDigest(AuthContent()); }
 };
 
 struct ViewChangeAckMsg {
@@ -188,9 +300,8 @@ struct ViewChangeAckMsg {
   Digest vc_digest;
   Bytes auth;            // single MAC to the new primary
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, ViewChangeAckMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.view, m.replica, m.vc_sender, m.vc_digest); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // The batch payload for a chosen sequence number that the new primary propagates so backups
@@ -202,8 +313,7 @@ struct BatchPayload {
   std::vector<RequestMsg> requests;  // full requests, in execution order
 
   Digest BatchDigest() const;
-  void Encode(Writer& w) const;
-  static bool Decode(Reader& r, BatchPayload* out);
+  static auto Fields(auto& m) { return std::tie(m.ndet, m.requests); }
 };
 
 struct NewViewMsg {
@@ -218,9 +328,11 @@ struct NewViewMsg {
   std::vector<BatchPayload> payloads;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
+  static auto Fields(auto& m) {
+    return std::tie(m.view, m.vc_set, m.min_s, m.chkpt_digest, m.chosen, m.payloads);
+  }
+  // The decision part only: payloads are self-certifying (checked against the chosen digests).
   Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, NewViewMsg* out);
 };
 
 // --- Retransmission (Section 5.2) --------------------------------------------------------------
@@ -239,9 +351,11 @@ struct StatusMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, StatusMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.view, m.view_active, m.last_stable, m.last_exec, m.prepared_bits,
+                    m.committed_bits, m.has_new_view, m.vc_have_bits, m.replica);
+  }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- State transfer (Section 5.3.2) -------------------------------------------------------------
@@ -256,9 +370,10 @@ struct FetchMsg {
   uint64_t nonce = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, FetchMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.level, m.index, m.last_known, m.target, m.replier, m.replica, m.nonce);
+  }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // Level value in FETCH/META-DATA denoting the checkpoint summary (root digest + extra blob).
@@ -272,6 +387,7 @@ struct MetaDataMsg {
     uint64_t index = 0;
     SeqNo lm = 0;  // last checkpoint at which the sub-partition was modified
     Digest d;
+    static auto Fields(auto& p) { return std::tie(p.index, p.lm, p.d); }
   };
   std::vector<Part> parts;
   Bytes extra;  // checkpoint extra blob; only present in summary replies
@@ -279,9 +395,10 @@ struct MetaDataMsg {
   uint64_t nonce = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, MetaDataMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.target, m.level, m.index, m.parts, m.extra, m.replica, m.nonce);
+  }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct DataMsg {
@@ -290,8 +407,7 @@ struct DataMsg {
   Bytes value;
   // Data replies need no MAC: the fetcher verifies against a known digest (Section 5.3.2).
 
-  void EncodeBody(Writer& w) const;
-  static bool DecodeBody(Reader& r, DataMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.index, m.lm, m.value); }
 };
 
 struct BatchFetchMsg {
@@ -299,9 +415,8 @@ struct BatchFetchMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, BatchFetchMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.batch_digest, m.replica); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct BatchReplyMsg {
@@ -309,9 +424,9 @@ struct BatchReplyMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, BatchReplyMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.payload, m.replica); }
+  // The replica only: the fetcher checks the payload against the digest it asked for.
+  Bytes AuthContent() const { return WireBytes(replica); }
 };
 
 // --- Key management / recovery (Chapter 4) ------------------------------------------------------
@@ -322,9 +437,8 @@ struct NewKeyMsg {
   uint64_t counter = 0;  // secure co-processor counter (anti suppress-replay)
   Bytes auth;            // always a signature
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, NewKeyMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.replica, m.epoch, m.counter); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct QueryStableMsg {
@@ -332,9 +446,8 @@ struct QueryStableMsg {
   uint64_t nonce = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, QueryStableMsg* out);
+  static auto Fields(auto& m) { return std::tie(m.replica, m.nonce); }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct ReplyStableMsg {
@@ -344,9 +457,10 @@ struct ReplyStableMsg {
   NodeId replica = 0;
   Bytes auth;
 
-  void EncodeBody(Writer& w) const;
-  Bytes AuthContent() const;
-  static bool DecodeBody(Reader& r, ReplyStableMsg* out);
+  static auto Fields(auto& m) {
+    return std::tie(m.last_checkpoint, m.last_prepared, m.nonce, m.replica);
+  }
+  Bytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- Top-level encode/decode --------------------------------------------------------------------
@@ -370,32 +484,25 @@ constexpr int kNumMsgTypes = 18;
 // Stable lowercase label for metrics and logs ("pre_prepare", "view_change", ...).
 const char* MsgTypeName(MsgType t);
 
-// Compile-time tag for a message struct — lets the templated send helpers bump a per-type
-// counter without a runtime variant visit.
+// Compile-time tag for a message struct, from its position in Message: lets the templated send
+// helpers bump a per-type counter without a runtime variant visit.
 template <typename M>
-struct MsgTypeTrait;
-template <> struct MsgTypeTrait<RequestMsg> { static constexpr MsgType value = MsgType::kRequest; };
-template <> struct MsgTypeTrait<ReplyMsg> { static constexpr MsgType value = MsgType::kReply; };
-template <> struct MsgTypeTrait<PrePrepareMsg> { static constexpr MsgType value = MsgType::kPrePrepare; };
-template <> struct MsgTypeTrait<PrepareMsg> { static constexpr MsgType value = MsgType::kPrepare; };
-template <> struct MsgTypeTrait<CommitMsg> { static constexpr MsgType value = MsgType::kCommit; };
-template <> struct MsgTypeTrait<CheckpointMsg> { static constexpr MsgType value = MsgType::kCheckpoint; };
-template <> struct MsgTypeTrait<ViewChangeMsg> { static constexpr MsgType value = MsgType::kViewChange; };
-template <> struct MsgTypeTrait<ViewChangeAckMsg> { static constexpr MsgType value = MsgType::kViewChangeAck; };
-template <> struct MsgTypeTrait<NewViewMsg> { static constexpr MsgType value = MsgType::kNewView; };
-template <> struct MsgTypeTrait<StatusMsg> { static constexpr MsgType value = MsgType::kStatus; };
-template <> struct MsgTypeTrait<FetchMsg> { static constexpr MsgType value = MsgType::kFetch; };
-template <> struct MsgTypeTrait<MetaDataMsg> { static constexpr MsgType value = MsgType::kMetaData; };
-template <> struct MsgTypeTrait<DataMsg> { static constexpr MsgType value = MsgType::kData; };
-template <> struct MsgTypeTrait<BatchFetchMsg> { static constexpr MsgType value = MsgType::kBatchFetch; };
-template <> struct MsgTypeTrait<BatchReplyMsg> { static constexpr MsgType value = MsgType::kBatchReply; };
-template <> struct MsgTypeTrait<NewKeyMsg> { static constexpr MsgType value = MsgType::kNewKey; };
-template <> struct MsgTypeTrait<QueryStableMsg> { static constexpr MsgType value = MsgType::kQueryStable; };
-template <> struct MsgTypeTrait<ReplyStableMsg> { static constexpr MsgType value = MsgType::kReplyStable; };
+struct MsgTypeTrait {
+  static constexpr MsgType value = []<typename... Ts>(std::variant<Ts...>*) {
+    size_t i = 0;
+    ((std::is_same_v<M, Ts> || (++i, false)) || ...);
+    return static_cast<MsgType>(i + 1);
+  }(static_cast<Message*>(nullptr));
+  static_assert(static_cast<int>(value) <= kNumMsgTypes, "not a Message alternative");
+};
+// The variant lists one struct per tag, in tag order (bft_lint's msgtype-order rule checks
+// each name against its enumerator).
+static_assert(std::variant_size_v<Message> == kNumMsgTypes);
+static_assert(MsgTypeTrait<RequestMsg>::value == MsgType::kRequest);
+static_assert(MsgTypeTrait<ReplyStableMsg>::value == MsgType::kReplyStable);
 
-// Helpers shared by encoders.
+// Writes a digest's 16 raw bytes (for encoders outside the field lists).
 void WriteDigest(Writer& w, const Digest& d);
-bool ReadDigest(Reader& r, Digest* d);
 
 }  // namespace bft
 

@@ -170,31 +170,12 @@ void Replica::OnMessage(MsgBuffer raw) {
       return;
     }
   }
-  std::visit([this](auto&& m) { this->Dispatch(std::move(m)); }, std::move(*decoded));
+  std::visit([this](auto&& m) { Handle(std::move(m)); }, std::move(*decoded));
 }
-
-void Replica::Dispatch(RequestMsg m) { HandleRequest(std::move(m)); }
-void Replica::Dispatch(ReplyMsg m) { HandleReply(std::move(m)); }
-void Replica::Dispatch(PrePrepareMsg m) { HandlePrePrepare(std::move(m)); }
-void Replica::Dispatch(PrepareMsg m) { HandlePrepare(std::move(m)); }
-void Replica::Dispatch(CommitMsg m) { HandleCommit(std::move(m)); }
-void Replica::Dispatch(CheckpointMsg m) { HandleCheckpoint(std::move(m)); }
-void Replica::Dispatch(ViewChangeMsg m) { HandleViewChange(std::move(m)); }
-void Replica::Dispatch(ViewChangeAckMsg m) { HandleViewChangeAck(std::move(m)); }
-void Replica::Dispatch(NewViewMsg m) { HandleNewView(std::move(m)); }
-void Replica::Dispatch(StatusMsg m) { HandleStatus(std::move(m)); }
-void Replica::Dispatch(FetchMsg m) { HandleFetch(std::move(m)); }
-void Replica::Dispatch(MetaDataMsg m) { HandleMetaData(std::move(m)); }
-void Replica::Dispatch(DataMsg m) { HandleData(std::move(m)); }
-void Replica::Dispatch(BatchFetchMsg m) { HandleBatchFetch(std::move(m)); }
-void Replica::Dispatch(BatchReplyMsg m) { HandleBatchReply(std::move(m)); }
-void Replica::Dispatch(NewKeyMsg m) { HandleNewKey(std::move(m)); }
-void Replica::Dispatch(QueryStableMsg m) { HandleQueryStable(std::move(m)); }
-void Replica::Dispatch(ReplyStableMsg m) { HandleReplyStable(std::move(m)); }
 
 // --- Requests & batching --------------------------------------------------------------------
 
-void Replica::HandleRequest(RequestMsg m) {
+void Replica::Handle(RequestMsg m) {
   if (!IsClientId(m.client) && !config_->IsReplicaMember(m.client)) {
     return;
   }
@@ -340,7 +321,7 @@ bool Replica::BatchRequestsAvailable(const PrePrepareMsg& pp) const {
   return true;
 }
 
-void Replica::HandlePrePrepare(PrePrepareMsg m) {
+void Replica::Handle(PrePrepareMsg m) {
   if (m.view != view_ || !view_active_ || config_->PrimaryOf(m.view) == id()) {
     return;
   }
@@ -438,7 +419,7 @@ void Replica::AcceptPrePrepare(const PrePrepareMsg& pp) {
   TryPrepared(pp.seq);
 }
 
-void Replica::HandlePrepare(PrepareMsg m) {
+void Replica::Handle(PrepareMsg m) {
   if (m.view != view_ || !InWatermarks(m.seq)) {
     return;
   }
@@ -487,7 +468,7 @@ void Replica::TryPrepared(SeqNo n) {
   TryExecute();
 }
 
-void Replica::HandleCommit(CommitMsg m) {
+void Replica::Handle(CommitMsg m) {
   if (m.view != view_ || !InWatermarks(m.seq)) {
     return;
   }
@@ -725,7 +706,7 @@ Bytes Replica::EncodeLastReplies() const {
     canonical.replica = 0;
     canonical.tentative = false;
     canonical.auth.clear();
-    canonical.EncodeBody(w);
+    WireWriter{w}(canonical);
   }
   return w.Take();
 }
@@ -736,7 +717,8 @@ void Replica::DecodeLastReplies(ByteView raw) {
   uint32_t count = r.U32();
   for (uint32_t i = 0; i < count && r.ok(); ++i) {
     ReplyMsg reply;
-    if (!ReplyMsg::DecodeBody(r, &reply)) {
+    WireReader{r}(reply);
+    if (!r.ok()) {
       return;
     }
     last_reply_[reply.client] = reply;
@@ -769,7 +751,7 @@ void Replica::OnCheckpointCommitted(SeqNo n) {
   TryStable(n);
 }
 
-void Replica::HandleCheckpoint(CheckpointMsg m) {
+void Replica::Handle(CheckpointMsg m) {
   if (m.seq <= low_) {
     return;
   }
@@ -1010,7 +992,7 @@ void Replica::SendViewChange() {
   PrimaryTryNewView();
 }
 
-void Replica::HandleViewChange(ViewChangeMsg m) {
+void Replica::Handle(ViewChangeMsg m) {
   if (!config_->IsReplicaMember(m.replica) || m.replica == id()) {
     return;
   }
@@ -1079,7 +1061,7 @@ void Replica::MaybeAckViewChange(const ViewChangeMsg& m) {
   AuthAndMulticast(ack);
 }
 
-void Replica::HandleViewChangeAck(ViewChangeAckMsg m) {
+void Replica::Handle(ViewChangeAckMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
@@ -1183,7 +1165,7 @@ void Replica::PrimaryTryNewView() {
   ProcessNewView(nv, s);
 }
 
-void Replica::HandleNewView(NewViewMsg m) {
+void Replica::Handle(NewViewMsg m) {
   if (m.view == 0 || m.view < view_ || config_->PrimaryOf(m.view) == id()) {
     return;
   }
@@ -1414,7 +1396,7 @@ void Replica::EnterView(View v) {
 
 // --- Batch fetch ----------------------------------------------------------------------------------
 
-void Replica::HandleBatchFetch(BatchFetchMsg m) {
+void Replica::Handle(BatchFetchMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
@@ -1428,7 +1410,7 @@ void Replica::HandleBatchFetch(BatchFetchMsg m) {
   AuthAndSend(m.replica, std::move(reply));
 }
 
-void Replica::HandleBatchReply(BatchReplyMsg m) {
+void Replica::Handle(BatchReplyMsg m) {
   // Self-certifying: accept only if we asked for this digest and the payload matches it.
   Digest d = m.payload.BatchDigest();
   if (wanted_payloads_.count(d) == 0) {
@@ -1480,7 +1462,7 @@ void Replica::SendStatus() {
   AuthAndMulticast(st);
 }
 
-void Replica::HandleStatus(StatusMsg m) {
+void Replica::Handle(StatusMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }

@@ -131,45 +131,25 @@ class Replica {
     bool is_null = false;  // null request installed by a new-view
   };
 
-  // --- Dispatch (one overload per message type, driven by std::visit) --------------------------
-  void Dispatch(RequestMsg m);
-  void Dispatch(ReplyMsg m);
-  void Dispatch(PrePrepareMsg m);
-  void Dispatch(PrepareMsg m);
-  void Dispatch(CommitMsg m);
-  void Dispatch(CheckpointMsg m);
-  void Dispatch(ViewChangeMsg m);
-  void Dispatch(ViewChangeAckMsg m);
-  void Dispatch(NewViewMsg m);
-  void Dispatch(StatusMsg m);
-  void Dispatch(FetchMsg m);
-  void Dispatch(MetaDataMsg m);
-  void Dispatch(DataMsg m);
-  void Dispatch(BatchFetchMsg m);
-  void Dispatch(BatchReplyMsg m);
-  void Dispatch(NewKeyMsg m);
-  void Dispatch(QueryStableMsg m);
-  void Dispatch(ReplyStableMsg m);
-
-  // --- Message handlers ------------------------------------------------------------------------
-  void HandleRequest(RequestMsg m);
-  void HandlePrePrepare(PrePrepareMsg m);
-  void HandlePrepare(PrepareMsg m);
-  void HandleCommit(CommitMsg m);
-  void HandleCheckpoint(CheckpointMsg m);
-  void HandleViewChange(ViewChangeMsg m);
-  void HandleViewChangeAck(ViewChangeAckMsg m);
-  void HandleNewView(NewViewMsg m);
-  void HandleStatus(StatusMsg m);
-  void HandleFetch(FetchMsg m);
-  void HandleMetaData(MetaDataMsg m);
-  void HandleData(DataMsg m);
-  void HandleBatchFetch(BatchFetchMsg m);
-  void HandleBatchReply(BatchReplyMsg m);
-  void HandleNewKey(NewKeyMsg m);
-  void HandleQueryStable(QueryStableMsg m);
-  void HandleReplyStable(ReplyStableMsg m);
-  void HandleReply(ReplyMsg m);  // recovery request replies
+  // --- Message handlers: one overload per message type, called by std::visit -----------------
+  void Handle(RequestMsg m);
+  void Handle(ReplyMsg m);  // recovery request replies
+  void Handle(PrePrepareMsg m);
+  void Handle(PrepareMsg m);
+  void Handle(CommitMsg m);
+  void Handle(CheckpointMsg m);
+  void Handle(ViewChangeMsg m);
+  void Handle(ViewChangeAckMsg m);
+  void Handle(NewViewMsg m);
+  void Handle(StatusMsg m);
+  void Handle(FetchMsg m);
+  void Handle(MetaDataMsg m);
+  void Handle(DataMsg m);
+  void Handle(BatchFetchMsg m);
+  void Handle(BatchReplyMsg m);
+  void Handle(NewKeyMsg m);
+  void Handle(QueryStableMsg m);
+  void Handle(ReplyStableMsg m);
 
   // --- Normal case -------------------------------------------------------------------------------
   bool InWatermarks(SeqNo n) const { return n > low_ && n <= low_ + config_->log_size; }

@@ -13,7 +13,7 @@ constexpr char kRecoveryTag[] = "\x7f_BFT_RECOVERY";
 
 // --- Server side -------------------------------------------------------------------------------
 
-void Replica::HandleFetch(FetchMsg m) {
+void Replica::Handle(FetchMsg m) {
   if (!config_->IsReplicaMember(m.replica) || m.replica == id()) {
     return;
   }
@@ -175,7 +175,7 @@ void Replica::FetchNextPartition() {
   FinishStateTransfer();
 }
 
-void Replica::HandleMetaData(MetaDataMsg m) {
+void Replica::Handle(MetaDataMsg m) {
   if (!transfer_active_ || m.nonce != transfer_nonce_ || m.target != transfer_target_) {
     return;
   }
@@ -231,7 +231,7 @@ void Replica::HandleMetaData(MetaDataMsg m) {
   FetchNextPartition();
 }
 
-void Replica::HandleData(DataMsg m) {
+void Replica::Handle(DataMsg m) {
   if (!transfer_active_ || !transfer_inflight_.has_value()) {
     return;
   }
@@ -307,7 +307,7 @@ void Replica::SendNewKey() {
   MulticastTo(OtherReplicas(), EncodeMessage(Message(std::move(nk))));
 }
 
-void Replica::HandleNewKey(NewKeyMsg m) {
+void Replica::Handle(NewKeyMsg m) {
   if (!config_->IsReplicaMember(m.replica) || m.replica == id()) {
     return;
   }
@@ -390,7 +390,7 @@ void Replica::ContinueRecoveryAfterReboot() {
   });
 }
 
-void Replica::HandleQueryStable(QueryStableMsg m) {
+void Replica::Handle(QueryStableMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
@@ -402,7 +402,7 @@ void Replica::HandleQueryStable(QueryStableMsg m) {
   AuthAndSend(m.replica, std::move(r));
 }
 
-void Replica::HandleReplyStable(ReplyStableMsg m) {
+void Replica::Handle(ReplyStableMsg m) {
   if (!recovery_estimating_ || m.nonce != recovery_nonce_) {
     return;
   }
@@ -474,7 +474,7 @@ void Replica::SendRecoveryRequest() {
   });
 }
 
-void Replica::HandleReply(ReplyMsg m) {
+void Replica::Handle(ReplyMsg m) {
   if (!recovering_ || recovery_point_known_ || m.timestamp != recovery_request_ts_) {
     return;
   }

@@ -1,9 +1,36 @@
-// Wire-format tests: encode/decode round trips for every message type, defensive decoding of
-// malformed input, and digest stability properties.
+// Wire-format tests: encode/decode round trips for every message type, the exact wire bytes,
+// defensive decoding of malformed input, and digest stability properties.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "src/common/rng.h"
 #include "src/core/messages.h"
+
+// Counting allocator for this test binary: while `g_count_allocs` is set, the largest single
+// allocation is recorded, so a test can bound what a decoder allocates for a given input.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    size_t prev = g_largest_alloc.load(std::memory_order_relaxed);
+    while (n > prev && !g_largest_alloc.compare_exchange_weak(prev, n)) {
+    }
+  }
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+// Out of line: inlined into a new-expression, GCC flags the malloc/free pair as mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace bft {
 namespace {
@@ -81,7 +108,7 @@ TEST(MessagesTest, RequestAuthContentCoversDigestNotOp) {
   EXPECT_EQ(big.AuthContent(big.RequestDigest()), big.AuthContent());
 }
 
-TEST(MessagesTest, ReplyRoundTrip) {
+ReplyMsg SampleReply() {
   ReplyMsg m;
   m.view = 3;
   m.timestamp = 55;
@@ -92,6 +119,11 @@ TEST(MessagesTest, ReplyRoundTrip) {
   m.result = ToBytes("result-bytes");
   m.result_digest = ComputeDigest(m.result);
   m.auth = Bytes(8, 0x11);
+  return m;
+}
+
+TEST(MessagesTest, ReplyRoundTrip) {
+  ReplyMsg m = SampleReply();
   ReplyMsg out = RoundTrip(m);
   EXPECT_EQ(out.view, m.view);
   EXPECT_EQ(out.result, m.result);
@@ -154,33 +186,48 @@ TEST(MessagesTest, BatchDigestSensitiveToOrderAndNdet) {
   EXPECT_NE(a.BatchDigest(), c.BatchDigest());
 }
 
-TEST(MessagesTest, PrepareCommitCheckpointRoundTrip) {
+PrepareMsg SamplePrepare() {
   PrepareMsg p;
   p.view = 1;
   p.seq = 2;
   p.batch_digest = ComputeDigest(ToBytes("x"));
   p.replica = 3;
   p.auth = Bytes(32, 1);
-  PrepareMsg pout = RoundTrip(p);
-  EXPECT_EQ(pout.batch_digest, p.batch_digest);
+  return p;
+}
 
+CommitMsg SampleCommit() {
   CommitMsg c;
   c.view = 1;
   c.seq = 2;
-  c.batch_digest = p.batch_digest;
+  c.batch_digest = ComputeDigest(ToBytes("x"));
   c.replica = 3;
-  CommitMsg cout = RoundTrip(c);
-  EXPECT_EQ(cout.seq, 2u);
+  return c;
+}
 
+CheckpointMsg SampleCheckpoint() {
   CheckpointMsg k;
   k.seq = 128;
   k.state_digest = ComputeDigest(ToBytes("state"));
   k.replica = 1;
+  return k;
+}
+
+TEST(MessagesTest, PrepareCommitCheckpointRoundTrip) {
+  PrepareMsg p = SamplePrepare();
+  PrepareMsg pout = RoundTrip(p);
+  EXPECT_EQ(pout.batch_digest, p.batch_digest);
+
+  CommitMsg c = SampleCommit();
+  CommitMsg cout = RoundTrip(c);
+  EXPECT_EQ(cout.seq, 2u);
+
+  CheckpointMsg k = SampleCheckpoint();
   CheckpointMsg kout = RoundTrip(k);
   EXPECT_EQ(kout.state_digest, k.state_digest);
 }
 
-TEST(MessagesTest, ViewChangeRoundTrip) {
+ViewChangeMsg SampleViewChange() {
   ViewChangeMsg m;
   m.view = 5;
   m.h = 8;
@@ -189,6 +236,11 @@ TEST(MessagesTest, ViewChangeRoundTrip) {
   m.q = {{9, {{ComputeDigest(ToBytes("q9a")), 4}, {ComputeDigest(ToBytes("q9b")), 2}}}};
   m.replica = 2;
   m.auth = Bytes(32, 0xee);
+  return m;
+}
+
+TEST(MessagesTest, ViewChangeRoundTrip) {
+  ViewChangeMsg m = SampleViewChange();
   ViewChangeMsg out = RoundTrip(m);
   EXPECT_EQ(out.h, 8u);
   ASSERT_EQ(out.checkpoints.size(), 2u);
@@ -210,7 +262,27 @@ TEST(MessagesTest, ViewChangeDigestCoversContent) {
   EXPECT_NE(a.MessageDigest(), b.MessageDigest());
 }
 
-TEST(MessagesTest, NewViewRoundTrip) {
+ViewChangeAckMsg SampleViewChangeAck() {
+  ViewChangeAckMsg m;
+  m.view = 5;
+  m.replica = 1;
+  m.vc_sender = 2;
+  m.vc_digest = ComputeDigest(ToBytes("vc2"));
+  m.auth = Bytes(16, 0x21);
+  return m;
+}
+
+TEST(MessagesTest, ViewChangeAckRoundTrip) {
+  ViewChangeAckMsg m = SampleViewChangeAck();
+  ViewChangeAckMsg out = RoundTrip(m);
+  EXPECT_EQ(out.view, m.view);
+  EXPECT_EQ(out.replica, m.replica);
+  EXPECT_EQ(out.vc_sender, m.vc_sender);
+  EXPECT_EQ(out.vc_digest, m.vc_digest);
+  EXPECT_EQ(out.auth, m.auth);
+}
+
+NewViewMsg SampleNewView() {
   NewViewMsg m;
   m.view = 5;
   m.vc_set = {{0, ComputeDigest(ToBytes("vc0"))}, {1, ComputeDigest(ToBytes("vc1"))},
@@ -223,15 +295,20 @@ TEST(MessagesTest, NewViewRoundTrip) {
   payload.requests = {SampleRequest()};
   m.payloads = {payload};
   m.auth = Bytes(32, 0x12);
+  return m;
+}
+
+TEST(MessagesTest, NewViewRoundTrip) {
+  NewViewMsg m = SampleNewView();
   NewViewMsg out = RoundTrip(m);
   EXPECT_EQ(out.vc_set, m.vc_set);
   EXPECT_EQ(out.min_s, 8u);
   EXPECT_EQ(out.chosen, m.chosen);
   ASSERT_EQ(out.payloads.size(), 1u);
-  EXPECT_EQ(out.payloads[0].BatchDigest(), payload.BatchDigest());
+  EXPECT_EQ(out.payloads[0].BatchDigest(), m.payloads[0].BatchDigest());
 }
 
-TEST(MessagesTest, StatusRoundTrip) {
+StatusMsg SampleStatus() {
   StatusMsg m;
   m.view = 4;
   m.view_active = false;
@@ -242,13 +319,18 @@ TEST(MessagesTest, StatusRoundTrip) {
   m.has_new_view = true;
   m.vc_have_bits = {0x05};
   m.replica = 3;
+  return m;
+}
+
+TEST(MessagesTest, StatusRoundTrip) {
+  StatusMsg m = SampleStatus();
   StatusMsg out = RoundTrip(m);
   EXPECT_EQ(out.prepared_bits, m.prepared_bits);
   EXPECT_EQ(out.vc_have_bits, m.vc_have_bits);
   EXPECT_FALSE(out.view_active);
 }
 
-TEST(MessagesTest, StateTransferMessagesRoundTrip) {
+FetchMsg SampleFetch() {
   FetchMsg f;
   f.level = 2;
   f.index = 7;
@@ -257,9 +339,10 @@ TEST(MessagesTest, StateTransferMessagesRoundTrip) {
   f.replier = 1;
   f.replica = 3;
   f.nonce = 42;
-  FetchMsg fout = RoundTrip(f);
-  EXPECT_EQ(fout.nonce, 42u);
+  return f;
+}
 
+MetaDataMsg SampleMetaData() {
   MetaDataMsg md;
   md.target = 16;
   md.level = 1;
@@ -268,56 +351,155 @@ TEST(MessagesTest, StateTransferMessagesRoundTrip) {
   md.extra = ToBytes("extra-blob");
   md.replica = 1;
   md.nonce = 42;
+  return md;
+}
+
+DataMsg SampleData() {
+  DataMsg d;
+  d.index = 12;
+  d.lm = 8;
+  d.value = Bytes(4096, 0x7e);
+  return d;
+}
+
+TEST(MessagesTest, StateTransferMessagesRoundTrip) {
+  FetchMsg f = SampleFetch();
+  FetchMsg fout = RoundTrip(f);
+  EXPECT_EQ(fout.nonce, 42u);
+
+  MetaDataMsg md = SampleMetaData();
   MetaDataMsg mout = RoundTrip(md);
   ASSERT_EQ(mout.parts.size(), 2u);
   EXPECT_EQ(mout.parts[1].lm, 16u);
   EXPECT_EQ(mout.extra, md.extra);
 
-  DataMsg d;
-  d.index = 12;
-  d.lm = 8;
-  d.value = Bytes(4096, 0x7e);
+  DataMsg d = SampleData();
   DataMsg dout = RoundTrip(d);
   EXPECT_EQ(dout.value, d.value);
 }
 
-TEST(MessagesTest, KeyAndRecoveryMessagesRoundTrip) {
+NewKeyMsg SampleNewKey() {
   NewKeyMsg nk;
   nk.replica = 2;
   nk.epoch = 9;
   nk.counter = 1234;
   nk.auth = Bytes(128, 3);
-  NewKeyMsg nkout = RoundTrip(nk);
-  EXPECT_EQ(nkout.epoch, 9u);
-  EXPECT_EQ(nkout.counter, 1234u);
+  return nk;
+}
 
+QueryStableMsg SampleQueryStable() {
   QueryStableMsg q;
   q.replica = 1;
   q.nonce = 5;
-  EXPECT_EQ(RoundTrip(q).nonce, 5u);
+  return q;
+}
 
+ReplyStableMsg SampleReplyStable() {
   ReplyStableMsg rs;
   rs.last_checkpoint = 32;
   rs.last_prepared = 40;
   rs.nonce = 5;
   rs.replica = 0;
+  return rs;
+}
+
+TEST(MessagesTest, KeyAndRecoveryMessagesRoundTrip) {
+  NewKeyMsg nk = SampleNewKey();
+  NewKeyMsg nkout = RoundTrip(nk);
+  EXPECT_EQ(nkout.epoch, 9u);
+  EXPECT_EQ(nkout.counter, 1234u);
+
+  QueryStableMsg q = SampleQueryStable();
+  EXPECT_EQ(RoundTrip(q).nonce, 5u);
+
+  ReplyStableMsg rs = SampleReplyStable();
   ReplyStableMsg rsout = RoundTrip(rs);
   EXPECT_EQ(rsout.last_checkpoint, 32u);
   EXPECT_EQ(rsout.last_prepared, 40u);
 }
 
-TEST(MessagesTest, BatchFetchRoundTrip) {
+BatchFetchMsg SampleBatchFetch() {
   BatchFetchMsg bf;
   bf.batch_digest = ComputeDigest(ToBytes("batch"));
   bf.replica = 2;
-  EXPECT_EQ(RoundTrip(bf).batch_digest, bf.batch_digest);
+  return bf;
+}
 
+BatchReplyMsg SampleBatchReply() {
   BatchReplyMsg br;
   br.payload.ndet = ToBytes("n");
   br.payload.requests = {SampleRequest()};
   br.replica = 1;
+  return br;
+}
+
+TEST(MessagesTest, BatchFetchRoundTrip) {
+  BatchFetchMsg bf = SampleBatchFetch();
+  EXPECT_EQ(RoundTrip(bf).batch_digest, bf.batch_digest);
+
+  BatchReplyMsg br = SampleBatchReply();
   BatchReplyMsg brout = RoundTrip(br);
   EXPECT_EQ(brout.payload.BatchDigest(), br.payload.BatchDigest());
+}
+
+// One sample of every wire type, in tag order.
+std::vector<Message> AllSamples() {
+  return {SampleRequest(),    SampleReply(),       SamplePrePrepare(),    SamplePrepare(),
+          SampleCommit(),     SampleCheckpoint(),  SampleViewChange(),    SampleViewChangeAck(),
+          SampleNewView(),    SampleStatus(),      SampleFetch(),         SampleMetaData(),
+          SampleData(),       SampleBatchFetch(),  SampleBatchReply(),    SampleNewKey(),
+          SampleQueryStable(), SampleReplyStable()};
+}
+
+TEST(MessagesTest, WireBytesAndAuthContentArePinned) {
+  // Digests of each sample's full encoding and of its MAC'd content ("" for data replies,
+  // which carry no MAC). Any change to a layout, a field width or what a MAC covers shows
+  // here; replicas running different builds must agree on every byte.
+  struct Pin {
+    const char* wire;
+    const char* auth;
+  };
+  const Pin kPins[] = {
+      {"7f8a3ff4b0748b7366246568939c727b", "4abf4e5f1bcce614fbac4cddf0989043"},  // request
+      {"c83572d3599530500a0fa4e5a75cb339", "362f165ba89714b1581e338179541a0a"},  // reply
+      {"c25dc50943a6bb63e7234fc4582be7a3", "dbe6638a2c5f8d5062365c8b7567ea8f"},  // pre_prepare
+      {"404446203999a45121a435c4522e8031", "30852379a1a5e5962a5d09ed082fef74"},  // prepare
+      {"f6ac2b391bb6abb0e5fc2f6afe585206", "30852379a1a5e5962a5d09ed082fef74"},  // commit
+      {"eb5f60d6723d2a885135bae82cfd60af", "97a0d6f789773a64f9dbf0966b0480da"},  // checkpoint
+      {"5b4336a10b513127ae315b3ec335c1d6", "88ac8e4f0aebcdac1baa1a299d292e0f"},  // view_change
+      {"08095296d9c768770f6689cc26ef273e", "9697a34cd4485e040261fb3781656130"},  // view_change_ack
+      {"12983f43d1fe9e9c261630484d9243ff", "5361f7fb1e993260605b669b885f5a9a"},  // new_view
+      {"54c73b60d00c8cb5a0a85ace6ad3d3bb", "fbe47c8a5494e98bafe15ab44714fd12"},  // status
+      {"de2b41bcc19dca51cf7390da9ed88388", "b23317a601d5d5d5017f79baa964b364"},  // fetch
+      {"40101ef8e83ebe537e872ecfb2f7e8f9", "8e7930e415523d8da736f6ee03f3798c"},  // meta_data
+      {"b9b961f635a0a7f11cbeafa4db121321", ""},  // data
+      {"ff5cdbb4c9fc697f8a1bf6ce226c8805", "d08782fb274dc7db4ae3d7c6eaba31c7"},  // batch_fetch
+      {"2790a763a5541f8f563b076b96b0a295", "67abdd721024f0ff4e0b3f4c2fc13bc5"},  // batch_reply
+      {"1be45e91f182e79b140293d4e8e47d20", "8875a3ba777ee906b0ba4e00aedf0d42"},  // new_key
+      {"3056fed3e0223a37977bf34aa5e0c298", "96155d38b04eeef3bc3c739d7e1110e4"},  // query_stable
+      {"bab2b48cfc2f98abd11bce012c8255dd", "eb270a68f14a0e83f926bd7e432b88e7"},  // reply_stable
+  };
+  std::vector<Message> samples = AllSamples();
+  ASSERT_EQ(samples.size(), static_cast<size_t>(kNumMsgTypes));
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const char* name = MsgTypeName(TypeOf(samples[i]));
+    EXPECT_EQ(ComputeDigest(EncodeMessage(samples[i])).Hex(), kPins[i].wire) << name;
+    std::string auth = std::visit(
+        [](const auto& m) -> std::string {
+          if constexpr (requires { m.AuthContent(); }) {
+            return ComputeDigest(m.AuthContent()).Hex();
+          } else {
+            return "";
+          }
+        },
+        samples[i]);
+    EXPECT_EQ(auth, kPins[i].auth) << name;
+  }
+  // The digests other messages carry: view-change-acks and new-views name a view-change by
+  // MessageDigest(); prepares, commits and P/Q entries name a batch by BatchDigest().
+  EXPECT_EQ(SampleViewChange().MessageDigest().Hex(), "88ac8e4f0aebcdac1baa1a299d292e0f");
+  EXPECT_EQ(SamplePrePrepare().BatchDigest().Hex(), "6c8496ec1a3aa2cb1597e8fe78f41b37");
+  EXPECT_EQ(SampleBatchReply().payload.BatchDigest().Hex(), "c3d9996fe43d82bc587d2087ea671a5f");
 }
 
 // --- Defensive decoding --------------------------------------------------------------------------
@@ -364,12 +546,72 @@ TEST(MessagesTest, RandomBytesNeverCrashDecoder) {
 }
 
 TEST(MessagesTest, BitFlippedEncodingsNeverCrashDecoder) {
-  Bytes wire = EncodeMessage(Message(SamplePrePrepare()));
   Rng rng(321);
-  for (int i = 0; i < 2000; ++i) {
-    Bytes mutated = wire;
-    mutated[rng.Below(mutated.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
-    DecodeMessage(mutated);  // must not crash
+  for (const Message& sample : AllSamples()) {
+    Bytes wire = EncodeMessage(sample);
+    for (int i = 0; i < 2000; ++i) {
+      Bytes mutated = wire;
+      mutated[rng.Below(mutated.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
+      DecodeMessage(mutated);  // must not crash
+    }
+  }
+}
+
+TEST(MessagesTest, TinyMessagesClaimingHugeCountsDoNotAllocate) {
+  // Each datagram claims 2^20 elements in one vector field and then ends. The decoder must
+  // reject it without first allocating room for the claimed elements: any sender can reach
+  // the decoder before authentication is checked.
+  std::vector<Bytes> crafted;
+  {
+    Writer w;  // pre-prepare: inline_requests
+    w.U8(static_cast<uint8_t>(MsgType::kPrePrepare));
+    w.U64(1);        // view
+    w.U64(1);        // seq
+    w.U32(0);        // ndet
+    w.U32(1 << 20);  // inline request count
+    crafted.push_back(w.Take());
+  }
+  {
+    Writer w;  // view-change: q
+    w.U8(static_cast<uint8_t>(MsgType::kViewChange));
+    w.U64(1);        // view
+    w.U64(0);        // h
+    w.U32(0);        // checkpoints
+    w.U32(0);        // p
+    w.U32(1 << 20);  // q
+    crafted.push_back(w.Take());
+  }
+  {
+    Writer w;  // new-view: payloads
+    w.U8(static_cast<uint8_t>(MsgType::kNewView));
+    w.U64(1);  // view
+    w.U32(0);  // vc_set
+    w.U64(0);  // min_s
+    WriteDigest(w, Digest{});
+    w.U32(0);        // chosen
+    w.U32(1 << 20);  // payloads
+    crafted.push_back(w.Take());
+  }
+  {
+    Writer w;  // meta-data: parts
+    w.U8(static_cast<uint8_t>(MsgType::kMetaData));
+    w.U64(1);        // target
+    w.U32(0);        // level
+    w.U64(0);        // index
+    w.U32(1 << 20);  // parts
+    crafted.push_back(w.Take());
+  }
+  ASSERT_EQ(crafted[0].size(), 25u);
+  ASSERT_EQ(crafted[1].size(), 29u);
+  ASSERT_EQ(crafted[2].size(), 45u);
+  ASSERT_EQ(crafted[3].size(), 25u);
+  for (const Bytes& wire : crafted) {
+    g_largest_alloc = 0;
+    g_count_allocs = true;
+    bool decoded = DecodeMessage(wire).has_value();
+    g_count_allocs = false;
+    EXPECT_FALSE(decoded) << "tag " << static_cast<int>(wire[0]);
+    EXPECT_LT(g_largest_alloc.load(), size_t{64} << 10) << "tag " << static_cast<int>(wire[0]);
   }
 }
 

@@ -68,6 +68,20 @@ TEST(SerializerTest, TruncatedVarFailsWithoutHugeAllocation) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(SerializerTest, CountAboveRemainingBytesFails) {
+  Writer w;
+  w.U32(3);  // three elements, each at least one byte...
+  w.Raw(Bytes(3, 1));
+  w.U32(4);  // ...but only three bytes follow this one
+  w.Raw(Bytes(3, 1));
+  Reader r(w.data());
+  EXPECT_EQ(r.Count(), 3u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.Raw(3), Bytes(3, 1));
+  EXPECT_EQ(r.Count(), 0u);
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(SerializerTest, PatchU32RewritesInPlace) {
   Writer w;
   w.U8(1);

@@ -24,9 +24,10 @@ layering            src/core must not include src/sim or src/runtime. The protoc
                     unmodified under the deterministic simulator and the real-clock runtime;
                     an upward include would let runtime types leak into the replayable core.
 
-msgtype-trait       Every MsgType enumerator in src/core/messages.h has a MsgTypeTrait
-                    specialization. A missing trait silently breaks generic encode/decode
-                    dispatch for that message type.
+msgtype-order       The Message variant in src/core/messages.h lists one FooMsg per MsgType
+                    enumerator kFoo, in enumerator order. Tags map to structs by variant
+                    position (TypeOf, MsgTypeTrait, DecodeMessage), so a missing or reordered
+                    alternative would silently put one message type on another's tag.
 
 Waivers
 -------
@@ -44,7 +45,7 @@ import os
 import re
 import sys
 
-RULES = ("raw-mutex", "blocking-under-lock", "layering", "msgtype-trait")
+RULES = ("raw-mutex", "blocking-under-lock", "layering", "msgtype-order")
 
 # Directories scanned relative to the repo root.
 SCAN_DIRS = ("src", "tests", "tools", "bench", "examples")
@@ -280,32 +281,34 @@ def check_file(path, rel, findings):
     return findings
 
 
-def check_msgtype_traits(root, findings):
+def check_msgtype_order(root, findings):
     rel = os.path.join("src", "core", "messages.h")
     path = os.path.join(root, rel)
     if not os.path.exists(path):
-        findings.append(Finding(rel, 0, "msgtype-trait", "src/core/messages.h not found"))
+        findings.append(Finding(rel, 0, "msgtype-order", "src/core/messages.h not found"))
         return
     with open(path, encoding="utf-8") as f:
         text = f.read()
     enum_m = re.search(r"enum class MsgType[^{]*\{(.*?)\}", text, re.S)
-    if not enum_m:
-        findings.append(Finding(rel, 0, "msgtype-trait", "MsgType enum not found"))
+    variant_m = re.search(r"using Message\s*=\s*std::variant<(.*?)>;", text, re.S)
+    if not enum_m or not variant_m:
+        findings.append(
+            Finding(rel, 0, "msgtype-order", "MsgType enum or Message variant not found")
+        )
         return
     enumerators = re.findall(r"\b(k\w+)\s*=", enum_m.group(1))
-    # Idiom: template <> struct MsgTypeTrait<FooMsg> { static constexpr MsgType value =
-    # MsgType::kFoo; }; — collect the enumerator each specialization maps to.
-    specialized = set(
-        re.findall(r"MsgTypeTrait<\w+>\s*\{[^}]*?MsgType::(k\w+)", text)
-    )
-    for e in enumerators:
-        if e not in specialized:
-            line = text[: text.index(e)].count("\n") + 1
+    alternatives = re.findall(r"\w+", variant_m.group(1))
+    line = text[: variant_m.start()].count("\n") + 1
+    for i in range(max(len(enumerators), len(alternatives))):
+        want = enumerators[i][1:] + "Msg" if i < len(enumerators) else None
+        got = alternatives[i] if i < len(alternatives) else None
+        if want != got:
             findings.append(
                 Finding(
-                    rel, line, "msgtype-trait",
-                    f"MsgType::{e} has no MsgTypeTrait specialization — generic "
-                    "encode/decode dispatch silently skips it",
+                    rel, line, "msgtype-order",
+                    f"Message alternative {i} is {got or 'missing'} but tag {i + 1} is "
+                    f"{('MsgType::' + enumerators[i]) if want else 'undefined'} — the tag "
+                    "would encode and decode as the wrong struct",
                 )
             )
 
@@ -335,7 +338,7 @@ def main(argv=None):
         check_file(full, rel, findings)
 
     if not args.paths:
-        check_msgtype_traits(root, findings)
+        check_msgtype_order(root, findings)
 
     for f in findings:
         print(f)

@@ -224,29 +224,38 @@ class LintFixture(unittest.TestCase):
         self.write("src/runtime/uses_sim.h", '#include "src/sim/sim_network.h"\n')
         self.assertEqual(self.lint_file("src/runtime/uses_sim.h"), [])
 
-    # --- msgtype-trait -----------------------------------------------------------------------
+    # --- msgtype-order -----------------------------------------------------------------------
 
-    def test_msgtype_trait_hit(self):
+    def test_msgtype_order_hit(self):
+        self.write(
+            "src/core/messages.h",
+            "enum class MsgType : uint8_t {\n  kRequest = 1,\n  kPrepare = 2,\n  kCommit = 3,\n};\n"
+            "using Message = std::variant<RequestMsg, CommitMsg, PrepareMsg>;\n",
+        )
+        findings = []
+        bft_lint.check_msgtype_order(self.root, findings)
+        self.assertEqual([f.rule for f in findings], ["msgtype-order", "msgtype-order"])
+        self.assertIn("kPrepare", findings[0].message)
+
+    def test_msgtype_order_missing_alternative_hit(self):
         self.write(
             "src/core/messages.h",
             "enum class MsgType : uint8_t {\n  kRequest = 1,\n  kPrepare = 2,\n};\n"
-            "template <> struct MsgTypeTrait<RequestMsg> {"
-            " static constexpr MsgType value = MsgType::kRequest; };\n",
+            "using Message = std::variant<RequestMsg>;\n",
         )
         findings = []
-        bft_lint.check_msgtype_traits(self.root, findings)
-        self.assertEqual([f.rule for f in findings], ["msgtype-trait"])
+        bft_lint.check_msgtype_order(self.root, findings)
+        self.assertEqual([f.rule for f in findings], ["msgtype-order"])
         self.assertIn("kPrepare", findings[0].message)
 
-    def test_msgtype_trait_clean(self):
+    def test_msgtype_order_clean(self):
         self.write(
             "src/core/messages.h",
-            "enum class MsgType : uint8_t {\n  kRequest = 1,\n};\n"
-            "template <> struct MsgTypeTrait<RequestMsg> {"
-            " static constexpr MsgType value = MsgType::kRequest; };\n",
+            "enum class MsgType : uint8_t {\n  kRequest = 1,\n  kPrePrepare = 2,\n};\n"
+            "using Message =\n    std::variant<RequestMsg,\n                 PrePrepareMsg>;\n",
         )
         findings = []
-        bft_lint.check_msgtype_traits(self.root, findings)
+        bft_lint.check_msgtype_order(self.root, findings)
         self.assertEqual(findings, [])
 
     # --- whole-repo run ----------------------------------------------------------------------
