@@ -6,10 +6,6 @@
 
 namespace bft {
 
-namespace {
-constexpr NodeId kEveryone = 0xffffffff;
-}
-
 Client::Client(std::unique_ptr<Endpoint> endpoint, const ReplicaConfig* config,
                const PerfModel* model, PublicKeyDirectory* directory, uint64_t seed)
     : ep_(std::move(endpoint)),
@@ -29,6 +25,7 @@ void Client::InstallObservability(MetricsRegistry* registry, RequestTracer* trac
   obs_.ops = registry->GetCounter("bft_client_ops_total", node);
   obs_.retransmissions = registry->GetCounter("bft_client_retransmissions_total", node);
   obs_.view_probes = registry->GetCounter("bft_client_view_probe_total", node);
+  obs_.result_refetches = registry->GetCounter("bft_client_result_refetches_total", node);
   obs_.latency = registry->GetHistogram("bft_client_latency_us", node);
 }
 
@@ -63,8 +60,8 @@ void Client::Invoke(Bytes op, bool read_only, Callback callback) {
   }
   current_digest_ = current_.RequestDigest();
   cpu().Charge(model_->DigestCost(current_.op.size()));
-  SendCurrentRequest(/*broadcast=*/current_read_only_path_ ||
-                     current_.op.size() > config_->separate_transmission_threshold);
+  SendCurrentRequest(
+      /*broadcast=*/config_->ClientMulticasts(current_.read_only, current_.op.size()));
 }
 
 void Client::SendCurrentRequest(bool broadcast) {
@@ -173,7 +170,10 @@ void Client::OnMessage(MsgBuffer raw) {
         return;
       }
     }
-    // Certificate complete but the designated replier's full result is missing: ask everyone.
+    // Certificate complete but the designated replier's full result is missing: ask everyone
+    // now rather than at the retry timer, which would add latency when the designated replier
+    // is faulty.
+    obs_.result_refetches->Inc();
     current_.designated_replier = kEveryone;
     SendCurrentRequest(/*broadcast=*/true);
     return;

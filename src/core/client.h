@@ -103,6 +103,7 @@ class Client {
     Counter* ops = nullptr;
     Counter* retransmissions = nullptr;
     Counter* view_probes = nullptr;
+    Counter* result_refetches = nullptr;
     Histogram* latency = nullptr;
   };
 

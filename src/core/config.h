@@ -53,6 +53,14 @@ struct ReplicaConfig {
   size_t max_batch_requests = 16;                  // request digests per pre-prepare (Fig 6-1)
   size_t separate_transmission_threshold = 255;    // bytes; larger requests multicast by client
 
+  // Whether a client multicasts a request's first transmission to every replica rather than
+  // sending it to the primary alone: read-only requests (Section 5.1.3) and requests whose op
+  // is above the separate-transmission threshold (Section 5.1.5). Client and replica both ask
+  // this one predicate, so a backup knows when the primary already got its own copy.
+  bool ClientMulticasts(bool read_only, size_t op_size) const {
+    return read_only || op_size > separate_transmission_threshold;
+  }
+
   // --- Timers -------------------------------------------------------------------------------
   SimTime view_change_timeout = 50 * kMillisecond;  // T; doubles per consecutive view change
   // Backoff cap: the paper doubles without bound until an operation executes; a cap bounds

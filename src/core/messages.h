@@ -156,6 +156,9 @@ Bytes FieldBytes(const M& m) {
 
 // --- Request / Reply ------------------------------------------------------------------------
 
+// Designated-replier value meaning "every replica sends the full result" (Section 5.1.1).
+constexpr NodeId kEveryone = 0xffffffff;
+
 struct RequestMsg {
   NodeId client = 0;
   uint64_t timestamp = 0;  // per-client, monotonically increasing; gives exactly-once semantics

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <unordered_set>
 
 namespace bft {
 
 namespace {
-// Designated-replier value meaning "every replica sends the full result".
-constexpr NodeId kEveryone = 0xffffffff;
-
 // Section 5.1 constants. Every replica sends results of at most this many bytes in full;
 // for larger ones only the designated replier does, and the others send the digest.
 constexpr size_t kDigestReplyThreshold = 32;
@@ -220,24 +218,35 @@ void Replica::Handle(RequestMsg m) {
     return;
   }
 
-  bool is_new = requests_.emplace(d, m).second;
+  bool multicast = config_->ClientMulticasts(m.read_only, m.op.size());
+  auto [it, is_new] = requests_.try_emplace(d, std::move(m));
+  const RequestMsg& req = it->second;
 
   if (config_->PrimaryOf(view_) == id()) {
     if (is_new) {
       // FIFO fairness: keep only the highest-timestamp request per client in the queue.
-      auto qit = queued_timestamp_.find(m.client);
-      if (qit == queued_timestamp_.end() || m.timestamp > qit->second) {
-        queued_timestamp_[m.client] = m.timestamp;
+      auto qit = queued_timestamp_.find(req.client);
+      if (qit == queued_timestamp_.end() || req.timestamp > qit->second) {
+        queued_timestamp_[req.client] = req.timestamp;
         request_queue_.push_back(d);
       }
     }
+    // Reads no `req` after this call: CollectGarbage may erase it from requests_.
     TrySendPrePrepare();
+  } else if (is_new && multicast) {
+    // Backup, first copy of a request the client multicast to every replica (a read-only or
+    // separately transmitted one, Section 5.1.5): the primary got its own copy, so keep the
+    // body for the pre-prepare that names its digest and do nothing more. A repeat is the
+    // client's retransmission and takes the branch below.
   } else {
-    // Backup: relay to the primary and start the view-change timer — if the primary does not
-    // order this request, a view change will replace it (Section 2.3.5).
-    if (is_new) {
+    // Backup, a request the client sent to the primary alone (it reaches a backup only when
+    // the client retransmits to everyone) or a repeat of a multicast one: the client has not
+    // heard back, so relay it to the primary and start the view-change timer. If the primary
+    // still does not order it, a view change replaces the primary (OSDI'99 Section 4.1,
+    // thesis Section 2.3.5).
+    if (is_new || multicast) {
       obs_.msg_out[static_cast<size_t>(MsgType::kRequest)]->Inc();
-      SendTo(config_->PrimaryOf(view_), EncodeMessage(Message(m)));
+      SendTo(config_->PrimaryOf(view_), EncodeMessage(Message(req)));
     }
     StartViewChangeTimer();
   }
@@ -301,7 +310,7 @@ void Replica::TrySendPrePrepare() {
 
     ++seqno_;
     Digest d = pp.BatchDigest();
-    batch_store_[d] = payload;
+    batch_store_[d] = std::move(payload);
     AuthAndMulticast(pp);
     LogEntry& entry = Entry(pp.seq);
     entry.pre_prepare = pp;
@@ -1358,26 +1367,22 @@ void Replica::EnterView(View v) {
   if (config_->PrimaryOf(v) == id()) {
     request_queue_.clear();
     queued_timestamp_.clear();
+    // Requests already in a logged, unexecuted batch: each hashed once, not once per
+    // pending request.
+    std::unordered_set<Digest, DigestHasher> in_log;
+    for (const auto& [seq, entry] : log_) {
+      if (seq > last_exec_ && HavePayload(entry.d) && entry.d != NullBatchDigest()) {
+        for (const RequestMsg& r : batch_store_.at(entry.d).requests) {
+          in_log.insert(r.RequestDigest());
+        }
+      }
+    }
     for (const auto& [d, req] : requests_) {
       auto lit = last_reply_.find(req.client);
       if (lit != last_reply_.end() && req.timestamp <= lit->second.timestamp) {
         continue;
       }
-      bool in_log = false;
-      for (const auto& [seq, entry] : log_) {
-        if (seq > last_exec_ && HavePayload(entry.d) && entry.d != NullBatchDigest()) {
-          for (const RequestMsg& r : batch_store_.at(entry.d).requests) {
-            if (r.RequestDigest() == d) {
-              in_log = true;
-              break;
-            }
-          }
-        }
-        if (in_log) {
-          break;
-        }
-      }
-      if (!in_log) {
+      if (in_log.count(d) == 0) {
         queued_timestamp_[req.client] = req.timestamp;
         request_queue_.push_back(d);
       }

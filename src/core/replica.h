@@ -132,6 +132,10 @@ class Replica {
   };
 
   // --- Message handlers: one overload per message type, called by std::visit -----------------
+  // The primary queues a new request for a pre-prepare. A backup keeps the first copy of a
+  // request the client multicast (thesis Section 5.1.5) and nothing more; it relays to the
+  // primary, and starts its view-change timer for, only a point-to-point request or a repeat,
+  // which is the client's retransmission (OSDI'99 Section 4.1).
   void Handle(RequestMsg m);
   void Handle(ReplyMsg m);  // recovery request replies
   void Handle(PrePrepareMsg m);

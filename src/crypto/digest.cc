@@ -1,6 +1,5 @@
 #include "src/crypto/digest.h"
 
-#include "src/common/serializer.h"
 #include "src/crypto/sha256.h"
 
 namespace bft {
@@ -18,11 +17,18 @@ Digest Truncate(const Sha256::DigestBytes& full) {
 Digest ComputeDigest(ByteView data) { return Truncate(Sha256::Hash(data)); }
 
 Digest ComputeDigestParts(std::initializer_list<ByteView> parts) {
-  Writer w;
+  // The preimage of a Writer::Var per part (U32 little-endian length, then the bytes),
+  // streamed so no part is copied before it is hashed.
+  Sha256 h;
   for (ByteView p : parts) {
-    w.Var(p);
+    uint8_t len[4];
+    for (int i = 0; i < 4; ++i) {
+      len[i] = static_cast<uint8_t>(p.size() >> (8 * i));
+    }
+    h.Update(ByteView(len, sizeof(len)));
+    h.Update(p);
   }
-  return ComputeDigest(w.data());
+  return Truncate(h.Finish());
 }
 
 Digest ComputeDigestConcat(std::initializer_list<ByteView> parts) {

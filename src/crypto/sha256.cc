@@ -259,6 +259,9 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha256::Update(ByteView data) {
+  if (data.empty()) {
+    return;  // an empty view may carry a null pointer, which memcpy must not receive
+  }
   total_len_ += data.size();
   size_t offset = 0;
   if (buffer_len_ > 0) {

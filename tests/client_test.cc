@@ -43,6 +43,9 @@ TEST(ClientTest, FallsBackWhenDesignatedReplierIsSilent) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->size(), 4096u);
   EXPECT_GT(dropped, 0u);
+  std::string labels = "client=\"" + std::to_string(client->id()) + "\"";
+  EXPECT_GE(cluster.metrics().GetCounter("bft_client_result_refetches_total", labels)->value(),
+            1u);
 }
 
 TEST(ClientTest, TracksViewAndFollowsNewPrimary) {
@@ -80,6 +83,31 @@ TEST(ClientTest, RetransmitsWhenPrimaryLosesRequest) {
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(client->stats().retransmissions, 1u);
   EXPECT_EQ(CounterService::DecodeValue(*result), 1u);
+}
+
+TEST(ClientTest, LostLargeRequestToPrimaryDoesNotChangeView) {
+  // Only the primary's copy of a multicast 4 KB request is lost. Backups keep theirs without
+  // starting a view-change timer (shorter than the client's retry timer), so the client's
+  // retransmission recovers the op in view 0.
+  Cluster cluster(Options(106), [](NodeId) { return std::make_unique<NullService>(); });
+  Client* client = cluster.AddClient();
+  NodeId primary = cluster.config().PrimaryOf(0);
+  bool dropped = false;
+  cluster.net().SetFilter([&](NodeId src, NodeId dst, const Bytes&) {
+    if (IsClientId(src) && dst == primary && !dropped) {
+      dropped = true;
+      return Network::FilterAction::kDrop;
+    }
+    return Network::FilterAction::kDeliver;
+  });
+  std::optional<Bytes> result =
+      cluster.Execute(client, NullService::MakeOp(false, 4096, 16), false, 120 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(dropped);
+  cluster.sim().RunFor(kSecond);
+  for (int i = 0; i < cluster.num_replicas(); ++i) {
+    EXPECT_EQ(cluster.replica(i)->view(), 0u) << "replica " << i;
+  }
 }
 
 TEST(ClientTest, StatsAccumulateAcrossOperations) {

@@ -3,6 +3,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/common/serializer.h"
 #include "src/crypto/adhash.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/hmac.h"
@@ -111,6 +112,26 @@ TEST(DigestTest, PartsAreLengthDelimited) {
   Digest d1 = ComputeDigestParts({ToBytes("a"), ToBytes("bc")});
   Digest d2 = ComputeDigestParts({ToBytes("ab"), ToBytes("c")});
   EXPECT_NE(d1, d2);
+}
+
+TEST(DigestTest, PartsHashTheLengthPrefixedConcatenation) {
+  // The preimage is each part as Writer::Var writes it (U32 little-endian length, then the
+  // bytes); page and checkpoint digests depend on it.
+  auto expect_same = [](std::initializer_list<ByteView> parts) {
+    Writer w;
+    for (ByteView p : parts) {
+      w.Var(p);
+    }
+    EXPECT_EQ(ComputeDigestParts(parts), ComputeDigest(w.data())) << parts.size() << " parts";
+  };
+  Rng rng(9);
+  Bytes page = rng.RandomBytes(4096);
+  Bytes empty;
+  expect_same({});
+  expect_same({empty});
+  expect_same({ToBytes("a"), empty, ToBytes("bc")});
+  expect_same({ToBytes("header"), page});
+  expect_same({page, page});
 }
 
 TEST(MacTest, VerifiesAndRejectsTamper) {

@@ -186,6 +186,29 @@ TEST(ProtocolTest, LargeRequestUsesSeparateTransmission) {
   EXPECT_EQ(result->size(), 16u);
 }
 
+TEST(ProtocolTest, LargeRequestReachesPrimaryOnce) {
+  // The client multicasts a 4 KB request to every replica, the primary included, so backups
+  // keep their copy instead of relaying it: one request message into the primary per op.
+  Cluster cluster(SmallCluster(7), [](NodeId) { return std::make_unique<NullService>(); });
+  Client* client = cluster.AddClient();
+  NodeId primary = cluster.config().PrimaryOf(0);
+  int from_clients = 0;
+  int from_replicas = 0;
+  cluster.net().SetFilter([&](NodeId src, NodeId dst, const Bytes& msg) {
+    std::optional<Message> m = DecodeMessage(msg);
+    if (dst == primary && m.has_value() && std::holds_alternative<RequestMsg>(*m)) {
+      ++(IsClientId(src) ? from_clients : from_replicas);
+    }
+    return Network::FilterAction::kDeliver;
+  });
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cluster.Execute(client, NullService::MakeOp(false, 4096, 16)).has_value());
+  }
+  EXPECT_EQ(from_clients, 10);
+  EXPECT_EQ(from_replicas, 0);
+  EXPECT_EQ(client->stats().retransmissions, 0u);
+}
+
 TEST(ProtocolTest, LargeReplyUsesDigestReplies) {
   ClusterOptions options = SmallCluster(5);
   Cluster cluster(options, [](NodeId) { return std::make_unique<NullService>(); });

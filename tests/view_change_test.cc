@@ -4,6 +4,7 @@
 
 #include "src/core/view_change.h"
 #include "src/service/counter_service.h"
+#include "src/service/null_service.h"
 #include "src/workload/cluster.h"
 
 namespace bft {
@@ -256,6 +257,20 @@ TEST(ViewChangeIntegrationTest, MutePrimaryIsReplaced) {
       cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(CounterService::DecodeValue(*result), 2u);
+}
+
+TEST(ViewChangeIntegrationTest, PrimaryIgnoringLargeRequestsIsReplaced) {
+  // Backups keep the first copy of a multicast 4 KB request without starting a timer; the
+  // client's retransmission is what they relay, and that starts the view change.
+  Cluster cluster(SmallCluster(23), [](NodeId) { return std::make_unique<NullService>(); });
+  Client* client = cluster.AddClient();
+  cluster.replica(0)->SetMute(true);  // primary of view 0
+  std::optional<Bytes> result =
+      cluster.Execute(client, NullService::MakeOp(false, 4096, 16), false, 60 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->size(), 16u);
+  EXPECT_GE(client->known_view(), 1u);
+  EXPECT_GE(cluster.replica(1)->view(), 1u);
 }
 
 TEST(ViewChangeIntegrationTest, CommittedStateSurvivesViewChange) {
