@@ -14,6 +14,11 @@
 // Implicitly constructible from Bytes so producers keep writing
 // `Send(dst, EncodeMessage(m))`; the conversion is the single point where ownership of the
 // encoding transfers into shared storage.
+//
+// A request's op is a MsgBuffer too: decoded from a received datagram, it is a slice of that
+// datagram, and every copy of the request (the replica's request table, a batch payload, a
+// pre-prepare, the log) shares the one body. A MsgBuffer is a contiguous range, so it reads
+// as a ByteView wherever one is expected.
 #ifndef SRC_COMMON_MSG_BUFFER_H_
 #define SRC_COMMON_MSG_BUFFER_H_
 
@@ -47,6 +52,13 @@ class MsgBuffer {
   ByteView view() const {
     return data_ == nullptr ? ByteView() : ByteView(data_->data() + offset_, size_);
   }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size_; }
+
+  // Content equality, whatever storage each side shares.
+  friend bool operator==(const MsgBuffer& a, const MsgBuffer& b) {
+    return Equal(a.view(), b.view());
+  }
 
   // A sub-range sharing ownership of the underlying storage (frame extraction on the
   // formation receive path). The caller guarantees the range lies within this buffer.
@@ -60,7 +72,8 @@ class MsgBuffer {
   }
 
   // The whole backing buffer, for consumers predating ByteView. Only meaningful on unsliced
-  // buffers (the simulator's network filter); slices exist only on the runtime receive path.
+  // buffers (the simulator's network filter sees whole messages); slices are formed frames
+  // on the runtime receive path and decoded request ops.
   const Bytes& bytes() const {
     static const Bytes kEmpty;
     assert(offset_ == 0 && (data_ == nullptr || size_ == data_->size()));

@@ -81,8 +81,9 @@ const HmacState& AuthContext::MacStateFor(NodeId src, NodeId dst) const {
   return SessionFor(src, dst).hmac;
 }
 
-Bytes AuthContext::GenerateAuthenticator(ByteView content, CpuMeter* cpu) const {
-  Bytes out(static_cast<size_t>(config_->n) * MacTag::kSize, 0);
+InlineBytes AuthContext::GenerateAuthenticator(ByteView content, CpuMeter* cpu) const {
+  InlineBytes out;
+  out.resize(static_cast<size_t>(config_->n) * MacTag::kSize);
   int charged = 0;
   for (int j = 0; j < config_->n; ++j) {
     NodeId dst = config_->ReplicaId(j);
@@ -123,12 +124,11 @@ bool AuthContext::VerifyAuthenticatorSlot(NodeId sender, NodeId slot_owner, Byte
   return MacEqual(expected, got);
 }
 
-Bytes AuthContext::GenerateMac(NodeId dst, ByteView content, CpuMeter* cpu) const {
+InlineBytes AuthContext::GenerateMac(NodeId dst, ByteView content, CpuMeter* cpu) const {
   if (cpu != nullptr) {
     cpu->Charge(model_->MacCost(content.size()));
   }
-  MacTag tag = ComputeMac(MacStateFor(self_, dst), content);
-  return Bytes(tag.bytes.begin(), tag.bytes.end());
+  return InlineBytes(ComputeMac(MacStateFor(self_, dst), content).View());
 }
 
 bool AuthContext::VerifyMac(NodeId sender, ByteView content, ByteView auth, CpuMeter* cpu) const {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/common/inline_bytes.h"
 #include "src/core/config.h"
 #include "src/core/cpu_meter.h"
 #include "src/crypto/mac.h"
@@ -63,8 +64,9 @@ class AuthContext {
   const HmacState& MacStateFor(NodeId src, NodeId dst) const;
 
   // Authenticator over `content` for a multicast to all replicas. Charges (n-1) MACs (or n if
-  // the sender is a client, which must cover every replica).
-  Bytes GenerateAuthenticator(ByteView content, CpuMeter* cpu) const;
+  // the sender is a client, which must cover every replica). Written straight into inline
+  // storage: no heap allocation for n <= 14.
+  InlineBytes GenerateAuthenticator(ByteView content, CpuMeter* cpu) const;
 
   // Verifies this node's slot of `sender`'s authenticator. Charges one MAC.
   bool VerifyAuthenticator(NodeId sender, ByteView content, ByteView auth, CpuMeter* cpu) const;
@@ -75,7 +77,7 @@ class AuthContext {
                                ByteView auth) const;
 
   // Single point-to-point MAC.
-  Bytes GenerateMac(NodeId dst, ByteView content, CpuMeter* cpu) const;
+  InlineBytes GenerateMac(NodeId dst, ByteView content, CpuMeter* cpu) const;
   bool VerifyMac(NodeId sender, ByteView content, ByteView auth, CpuMeter* cpu) const;
 
   // Session-cache effectiveness (PR 3 built the cache; these report it at run time). A hit
@@ -91,18 +93,18 @@ class AuthContext {
 
   // --- Mode-dispatched helpers used by the protocol ----------------------------------------
   // Authentication trailer for a message multicast to the replica group.
-  Bytes GenAuthMulticast(ByteView content, CpuMeter* cpu) const {
+  InlineBytes GenAuthMulticast(ByteView content, CpuMeter* cpu) const {
     return mode() == AuthMode::kMac ? GenerateAuthenticator(content, cpu)
-                                    : GenerateSignature(content, cpu);
+                                    : InlineBytes(GenerateSignature(content, cpu));
   }
   bool VerifyAuthMulticast(NodeId sender, ByteView content, ByteView auth, CpuMeter* cpu) const {
     return mode() == AuthMode::kMac ? VerifyAuthenticator(sender, content, auth, cpu)
                                     : VerifySignature(sender, content, auth, cpu);
   }
   // Trailer for a point-to-point message.
-  Bytes GenAuthPoint(NodeId dst, ByteView content, CpuMeter* cpu) const {
+  InlineBytes GenAuthPoint(NodeId dst, ByteView content, CpuMeter* cpu) const {
     return mode() == AuthMode::kMac ? GenerateMac(dst, content, cpu)
-                                    : GenerateSignature(content, cpu);
+                                    : InlineBytes(GenerateSignature(content, cpu));
   }
   bool VerifyAuthPoint(NodeId sender, ByteView content, ByteView auth, CpuMeter* cpu) const {
     return mode() == AuthMode::kMac ? VerifyMac(sender, content, auth, cpu)

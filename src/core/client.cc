@@ -13,7 +13,9 @@ Client::Client(std::unique_ptr<Endpoint> endpoint, const ReplicaConfig* config,
       model_(model),
       auth_(ep_->id(), config, model, directory, directory->Generate(ep_->id(), seed)),
       rng_(seed ^ (ep_->id() * 0xd1342543de82ef95ULL)),
-      retry_timeout_(config->client_retry_timeout) {
+      retry_timeout_(config->client_retry_timeout),
+      replies_(static_cast<size_t>(config->n)),
+      replica_ids_(config->ReplicaIds()) {
   assert(IsClientId(id()));
   InstallObservability(&MetricsRegistry::Process(), nullptr);
   ep_->SetHandler([this](MsgBuffer message) { OnMessage(std::move(message)); });
@@ -37,7 +39,7 @@ void Client::Invoke(Bytes op, bool read_only, Callback callback) {
   assert(!busy_);
   busy_ = true;
   callback_ = std::move(callback);
-  replies_.clear();
+  ClearReplies();
   issued_at_ = Now();
   retry_timeout_ = RetryBase();
   retries_this_op_ = 0;
@@ -68,11 +70,11 @@ void Client::SendCurrentRequest(bool broadcast) {
   // BFT: an authenticator with one MAC per replica. BFT-PK: a signature.
   current_.auth = auth_.GenAuthMulticast(current_.AuthContent(current_digest_), &cpu());
   // Encode once: broadcast shares the same refcounted buffer across all replicas.
-  MsgBuffer wire = EncodeMessage(Message(current_));
+  MsgBuffer wire = EncodeTyped(current_);
   if (broadcast) {
     // Read-only requests, large requests (separate transmission), and retransmissions go to
     // every replica.
-    MulticastTo(config_->ReplicaIds(), wire);
+    MulticastTo(replica_ids_, wire);
   } else {
     SendTo(config_->PrimaryOf(view_), std::move(wire));
   }
@@ -107,7 +109,7 @@ void Client::OnRetryTimer() {
     // faulty replicas) is re-issued as a regular read-write request (Section 5.1.3).
     current_read_only_path_ = false;
     current_.read_only = false;
-    replies_.clear();
+    ClearReplies();
   }
   // Retransmissions request full replies from everyone so the result is sure to arrive.
   current_.designated_replier = kEveryone;
@@ -136,37 +138,46 @@ void Client::OnMessage(MsgBuffer raw) {
     }
   }
 
-  ReplyRecord rec;
+  ReplyRecord& rec = replies_[static_cast<size_t>(config_->ReplicaIndex(m.replica))];
+  rec.present = true;
   rec.result_digest = m.result_digest;
   rec.tentative = m.tentative;
   rec.has_result = m.has_result;
   rec.result = std::move(m.result);
   rec.view = m.view;
-  replies_[m.replica] = std::move(rec);
 
   // Track the view (and hence the primary) from replies.
   view_ = std::max(view_, m.view);
 
   // Certificate check: f+1 matching non-tentative replies, or 2f+1 matching replies when any
-  // of them are tentative (and always 2f+1 on the read-only path).
-  std::map<Digest, std::pair<int, int>> counts;  // digest -> (total, non-tentative)
-  for (const auto& [r, rep] : replies_) {
-    auto& c = counts[rep.result_digest];
-    ++c.first;
-    if (!rep.tentative) {
-      ++c.second;
+  // of them are tentative (and always 2f+1 on the read-only path). Each distinct digest is
+  // tallied once, at its first slot.
+  for (size_t i = 0; i < replies_.size(); ++i) {
+    const ReplyRecord& first = replies_[i];
+    if (!first.present) {
+      continue;
     }
-  }
-  for (const auto& [digest, c] : counts) {
-    bool strong_ok = c.first >= config_->quorum();
-    bool weak_ok = c.second >= config_->weak() && !current_read_only_path_;
-    if (!strong_ok && !weak_ok) {
+    const Digest& digest = first.result_digest;
+    bool seen = false;
+    int total = 0;
+    int non_tentative = 0;
+    for (size_t j = 0; j < replies_.size(); ++j) {
+      const ReplyRecord& rep = replies_[j];
+      if (rep.present && rep.result_digest == digest) {
+        seen = seen || j < i;
+        ++total;
+        non_tentative += rep.tentative ? 0 : 1;
+      }
+    }
+    bool strong_ok = total >= config_->quorum();
+    bool weak_ok = non_tentative >= config_->weak() && !current_read_only_path_;
+    if (seen || (!strong_ok && !weak_ok)) {
       continue;
     }
     // Find the full result among the matching replies.
-    for (const auto& [r, rep] : replies_) {
-      if (rep.result_digest == digest && rep.has_result) {
-        Complete(rep.result);
+    for (ReplyRecord& rep : replies_) {
+      if (rep.present && rep.result_digest == digest && rep.has_result) {
+        Complete(std::move(rep.result));
         return;
       }
     }
@@ -177,6 +188,12 @@ void Client::OnMessage(MsgBuffer raw) {
     current_.designated_replier = kEveryone;
     SendCurrentRequest(/*broadcast=*/true);
     return;
+  }
+}
+
+void Client::ClearReplies() {
+  for (ReplyRecord& rep : replies_) {
+    rep.present = false;
   }
 }
 
@@ -197,7 +214,7 @@ void Client::Complete(Bytes result) {
   }
   Callback cb = std::move(callback_);
   callback_ = nullptr;
-  replies_.clear();
+  ClearReplies();
   if (cb) {
     cb(std::move(result));
   }

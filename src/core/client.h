@@ -9,8 +9,8 @@
 #define SRC_CORE_CLIENT_H_
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "src/core/auth.h"
 #include "src/core/config.h"
@@ -142,14 +142,20 @@ class Client {
   bool retry_timer_running_ = false;
   bool current_read_only_path_ = false;
 
+  // The replies to the current request, one slot per replica (by ReplicaIndex); a later
+  // reply from a replica replaces its earlier one.
   struct ReplyRecord {
+    bool present = false;
     Digest result_digest;
     bool tentative = false;
     bool has_result = false;
     Bytes result;
     View view = 0;
   };
-  std::map<NodeId, ReplyRecord> replies_;
+  std::vector<ReplyRecord> replies_;
+  void ClearReplies();
+  // config_->ReplicaIds(), computed once: every broadcast goes to all of them.
+  std::vector<NodeId> replica_ids_;
 };
 
 }  // namespace bft

@@ -2,70 +2,60 @@
 
 #include <array>
 
+#include "src/crypto/sha256.h"
+
 namespace bft {
 
 void WriteDigest(Writer& w, const Digest& d) { w.Raw(d.View()); }
 
-void WireReader::operator()(Digest& d) const {
-  Bytes raw = r.Raw(Digest::kSize);
-  if (r.ok()) {
-    std::copy(raw.begin(), raw.end(), d.bytes.begin());
+namespace {
+// H(U32 len | ndet | d_1 | ... | d_k), the request digests in execution order: the same
+// preimage as a Writer encoding, streamed.
+Digest BatchDigestOf(const Bytes& ndet, const std::vector<RequestMsg>& requests,
+                     const std::vector<Digest>& separate_digests) {
+  Sha256 h;
+  h.Update(WireBytes(ndet));
+  for (const RequestMsg& req : requests) {
+    h.Update(req.RequestDigest().View());
   }
+  for (const Digest& d : separate_digests) {
+    h.Update(d.View());
+  }
+  Sha256::DigestBytes full = h.Finish();
+  Digest out;
+  std::copy(full.begin(), full.begin() + Digest::kSize, out.bytes.begin());
+  return out;
 }
+}  // namespace
 
 // --- Digests and hand-written MAC'd content (see the header comment) ----------------------------
 
 Digest RequestMsg::RequestDigest() const {
   // H(U32 client | U64 timestamp | U32 len | op): the same preimage as a Writer encoding,
   // streamed so the op is hashed in place rather than copied first.
-  Writer header;
-  header.U32(client);
-  header.U64(timestamp);
-  header.U32(static_cast<uint32_t>(op.size()));
-  return ComputeDigestConcat({header.data(), op});
+  InlineBytes header = WireBytes(client, timestamp, static_cast<uint32_t>(op.size()));
+  return ComputeDigestConcat({header, op});
 }
 
-Bytes RequestMsg::AuthContent(const Digest& digest) const {
+InlineBytes RequestMsg::AuthContent(const Digest& digest) const {
   return WireBytes(client, timestamp, read_only, designated_replier, digest);
 }
 
-Bytes ReplyMsg::AuthContent() const {
+InlineBytes ReplyMsg::AuthContent() const {
   return WireBytes(view, timestamp, client, replica, tentative, result_digest);
 }
 
 Digest PrePrepareMsg::BatchDigest() const {
-  Writer w;
-  w.Var(ndet);
-  for (const Digest& d : OrderedRequestDigests()) {
-    WriteDigest(w, d);
-  }
-  return ComputeDigest(w.data());
+  return BatchDigestOf(ndet, inline_requests, separate_digests);
 }
 
-std::vector<Digest> PrePrepareMsg::OrderedRequestDigests() const {
-  std::vector<Digest> out;
-  out.reserve(inline_requests.size() + separate_digests.size());
-  for (const RequestMsg& req : inline_requests) {
-    out.push_back(req.RequestDigest());
-  }
-  for (const Digest& d : separate_digests) {
-    out.push_back(d);
-  }
-  return out;
+InlineBytes PrePrepareMsg::AuthContent(const Digest& batch_digest) const {
+  return WireBytes(view, seq, batch_digest);
 }
 
-Bytes PrePrepareMsg::AuthContent() const { return WireBytes(view, seq, BatchDigest()); }
+Digest BatchPayload::BatchDigest() const { return BatchDigestOf(ndet, requests, {}); }
 
-Digest BatchPayload::BatchDigest() const {
-  Writer w;
-  w.Var(ndet);
-  for (const RequestMsg& req : requests) {
-    WriteDigest(w, req.RequestDigest());
-  }
-  return ComputeDigest(w.data());
-}
-
-Bytes NewViewMsg::AuthContent() const {
+InlineBytes NewViewMsg::AuthContent() const {
   return WireBytes(view, vc_set, min_s, chkpt_digest, chosen);
 }
 
@@ -99,17 +89,8 @@ const char* MsgTypeName(MsgType t) {
   return "unknown";
 }
 
-void EncodeMessageTo(Writer& w, const Message& m) {
-  w.U8(static_cast<uint8_t>(TypeOf(m)));
-  std::visit(WireWriter{w}, m);
-}
-
 Bytes EncodeMessage(const Message& m) {
-  // Covers a batched pre-prepare with a few inline requests in one allocation; larger
-  // messages (new-view, state-transfer data) fall back to doubling growth.
-  Writer w(512);
-  EncodeMessageTo(w, m);
-  return w.Take();
+  return std::visit([](const auto& msg) { return EncodeTyped(msg); }, m);
 }
 
 namespace {
@@ -128,15 +109,26 @@ std::optional<Message> DecodeAs(Reader& r) {
 constexpr auto kDecoders = []<size_t... I>(std::index_sequence<I...>) {
   return std::array{&DecodeAs<I>...};
 }(std::make_index_sequence<kNumMsgTypes>());
-}  // namespace
 
-std::optional<Message> DecodeMessage(ByteView wire) {
-  Reader r(wire);
+std::optional<Message> Decode(Reader& r) {
   uint8_t tag = r.U8();
   if (!r.ok() || tag == 0 || tag > kDecoders.size()) {
     return std::nullopt;
   }
   return kDecoders[tag - 1](r);
 }
+}  // namespace
+
+std::optional<Message> DecodeMessage(const MsgBuffer& wire) {
+  Reader r(wire);
+  return Decode(r);
+}
+
+std::optional<Message> DecodeMessage(ByteView wire) {
+  Reader r(wire);
+  return Decode(r);
+}
+
+std::optional<Message> DecodeMessage(const Bytes& wire) { return DecodeMessage(ByteView(wire)); }
 
 }  // namespace bft

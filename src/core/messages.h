@@ -9,9 +9,9 @@
 // decoder (WireReader) and, for every type whose MAC covers its whole body, `AuthContent()`
 // (and ViewChangeMsg::MessageDigest(), which hashes the same bytes). A field's C++ type fixes
 // its wire form: uint32_t/NodeId -> 4 bytes, uint64_t -> 8 (little-endian), bool -> 1,
-// Bytes -> U32 length + bytes, Digest -> 16 raw bytes, std::pair -> both members in order,
-// std::vector -> U32 count + elements, a nested struct -> its own fields, then its `auth` if
-// it has one.
+// Bytes and MsgBuffer -> U32 length + bytes, Digest -> 16 raw bytes, std::pair -> both
+// members in order, std::vector -> U32 count + elements, a nested struct -> its own fields,
+// then its `auth` if it has one.
 //
 // Five types authenticate less than their body, deliberately, and write AuthContent() by hand:
 //  - Request: the header plus the request digest; the op is hashed once, so MAC cost does not
@@ -22,6 +22,17 @@
 //  - NewView: no payloads; each is checked against the chosen digests.
 //  - BatchReply: the replica only; the payload is checked against the digest that was fetched.
 // DataMsg has no MAC at all: the fetcher checks each page against a known digest.
+//
+// The normal case allocates little per message:
+//  - Inline trailers. Every `auth`, and every AuthContent(), is an InlineBytes: an
+//    authenticator for up to 14 replicas, a MAC and every normal-case header fit inside the
+//    object, so making or checking a MAC and decoding a trailer touch no heap.
+//  - One exact-size encode. EncodeTyped(m) encodes a message from its own type: a counting
+//    pass sizes the output, then one allocation holds it. EncodeMessage(const Message&)
+//    visits into it; hot paths call EncodeTyped directly and skip the copy into a variant.
+//  - A shared op. RequestMsg::op is a MsgBuffer. DecodeMessage(const MsgBuffer&) slices
+//    each op out of the datagram it arrived in, and every later copy of the request shares
+//    that one body. DecodeMessage(ByteView) copies instead.
 //
 // Decoding is defensive: every node decodes a datagram before it checks the MAC, so any sender
 // reaches the decoder. DecodeMessage returns nullopt on malformed input or trailing bytes. A
@@ -40,6 +51,8 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/inline_bytes.h"
+#include "src/common/msg_buffer.h"
 #include "src/common/serializer.h"
 #include "src/core/clock.h"
 #include "src/crypto/digest.h"
@@ -76,14 +89,16 @@ using SeqNo = uint64_t;
 template <typename M>
 concept WireStruct = requires(M& m) { M::Fields(m); };
 
-// Encodes values by their C++ type.
+// Encodes values by their C++ type into a Writer, an InlineWriter or a SizeCounter.
+template <typename W>
 struct WireWriter {
-  Writer& w;
+  W& w;
 
   void operator()(uint32_t v) const { w.U32(v); }
   void operator()(uint64_t v) const { w.U64(v); }
   void operator()(bool v) const { w.Bool(v); }
   void operator()(const Bytes& v) const { w.Var(v); }
+  void operator()(const MsgBuffer& v) const { w.Var(v); }
   void operator()(const Digest& d) const { w.Raw(d.View()); }
   template <typename A, typename B>
   void operator()(const std::pair<A, B>& p) const {
@@ -105,6 +120,8 @@ struct WireWriter {
     }
   }
 };
+template <typename W>
+WireWriter(W&) -> WireWriter<W>;
 
 // Decodes values by their C++ type. After a failure the Reader is !ok() and the rest reads as
 // zeros; callers check ok() once at the end.
@@ -115,7 +132,8 @@ struct WireReader {
   void operator()(uint64_t& v) const { v = r.U64(); }
   void operator()(bool& v) const { v = r.Bool(); }
   void operator()(Bytes& v) const { v = r.Var(); }
-  void operator()(Digest& d) const;
+  void operator()(MsgBuffer& v) const { v = r.VarShared(); }
+  void operator()(Digest& d) const { r.RawInto(d.bytes.data(), Digest::kSize); }
   template <typename A, typename B>
   void operator()(std::pair<A, B>& p) const {
     (*this)(p.first);
@@ -133,16 +151,16 @@ struct WireReader {
   void operator()(M& m) const {
     std::apply([this](auto&... f) { ((*this)(f), ...); }, M::Fields(m));
     if constexpr (requires { m.auth; }) {
-      m.auth = r.Var();
+      r.VarInto(m.auth);
     }
   }
 };
 
 // The encoding of `fields` in order, with no tag and no length: the MAC'd content and digest
-// preimages.
+// preimages, in inline storage.
 template <typename... T>
-Bytes WireBytes(const T&... fields) {
-  Writer w(64);
+InlineBytes WireBytes(const T&... fields) {
+  InlineWriter w;
   (WireWriter{w}(fields), ...);
   return w.Take();
 }
@@ -150,7 +168,7 @@ Bytes WireBytes(const T&... fields) {
 // A struct's field list encoded without `auth`: the AuthContent() of a type whose MAC covers
 // its whole body.
 template <WireStruct M>
-Bytes FieldBytes(const M& m) {
+InlineBytes FieldBytes(const M& m) {
   return std::apply([](const auto&... f) { return WireBytes(f...); }, M::Fields(m));
 }
 
@@ -164,8 +182,8 @@ struct RequestMsg {
   uint64_t timestamp = 0;  // per-client, monotonically increasing; gives exactly-once semantics
   bool read_only = false;
   NodeId designated_replier = 0;  // digest-replies optimization (Section 5.1.1)
-  Bytes op;
-  Bytes auth;
+  MsgBuffer op;  // immutable and shared by every copy of the request
+  InlineBytes auth;
 
   // Digest identifying the request: H(client, timestamp, op). Used in pre-prepares that carry
   // requests separately and in the replicas' replay caches. Computed from the fields on every
@@ -178,9 +196,9 @@ struct RequestMsg {
   // The fixed header (client, timestamp, read_only, designated_replier) plus the request
   // digest, as ReplyMsg's MAC covers the result digest (Fig 6-1): the op is hashed once, and
   // MAC cost does not grow with its size.
-  Bytes AuthContent() const { return AuthContent(RequestDigest()); }
+  InlineBytes AuthContent() const { return AuthContent(RequestDigest()); }
   // The same bytes for a caller that already computed `digest` = RequestDigest().
-  Bytes AuthContent(const Digest& digest) const;
+  InlineBytes AuthContent(const Digest& digest) const;
 };
 
 struct ReplyMsg {
@@ -192,7 +210,7 @@ struct ReplyMsg {
   bool has_result = false;   // false => digest-only reply (Section 5.1.1)
   Bytes result;
   Digest result_digest;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.view, m.timestamp, m.client, m.replica, m.tentative, m.has_result,
@@ -200,7 +218,7 @@ struct ReplyMsg {
   }
   // The fixed header plus the result digest (Fig 6-1): the bulk result is checked against the
   // digest, so MAC cost does not grow with its size.
-  Bytes AuthContent() const;
+  InlineBytes AuthContent() const;
 };
 
 // --- Normal case ------------------------------------------------------------------------------
@@ -214,21 +232,21 @@ struct PrePrepareMsg {
   Bytes ndet;
   std::vector<RequestMsg> inline_requests;
   std::vector<Digest> separate_digests;
-  Bytes auth;
+  InlineBytes auth;
 
   // Digest identifying the batch *content* (requests + ndet), independent of view/seq: this is
   // the `d` carried by prepares, commits, and view-change P/Q entries, so a batch re-proposed
   // in a later view keeps its identity.
+  // The request digests enter in execution order: inline requests first, then separate ones.
   Digest BatchDigest() const;
-
-  // Ordered request digests (inline first, then separate), i.e. the execution order.
-  std::vector<Digest> OrderedRequestDigests() const;
 
   static auto Fields(auto& m) {
     return std::tie(m.view, m.seq, m.ndet, m.inline_requests, m.separate_digests);
   }
   // The fixed-size header: view, seq, and the batch digest (Fig 6-1 pre-prepare header).
-  Bytes AuthContent() const;
+  InlineBytes AuthContent() const { return AuthContent(BatchDigest()); }
+  // The same bytes for a caller that already computed `batch_digest` = BatchDigest().
+  InlineBytes AuthContent(const Digest& batch_digest) const;
 };
 
 struct PrepareMsg {
@@ -236,10 +254,10 @@ struct PrepareMsg {
   SeqNo seq = 0;
   Digest batch_digest;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.view, m.seq, m.batch_digest, m.replica); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct CommitMsg {
@@ -247,20 +265,20 @@ struct CommitMsg {
   SeqNo seq = 0;
   Digest batch_digest;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.view, m.seq, m.batch_digest, m.replica); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct CheckpointMsg {
   SeqNo seq = 0;
   Digest state_digest;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.seq, m.state_digest, m.replica); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- View changes (Chapter 3) -----------------------------------------------------------------
@@ -286,12 +304,12 @@ struct ViewChangeMsg {
   };
   std::vector<QEntry> q;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.view, m.h, m.checkpoints, m.p, m.q, m.replica);
   }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
   // Digest acknowledged by view-change-acks: the hash of AuthContent().
   Digest MessageDigest() const { return ComputeDigest(AuthContent()); }
 };
@@ -301,10 +319,10 @@ struct ViewChangeAckMsg {
   NodeId replica = 0;    // sender of the ack
   NodeId vc_sender = 0;  // replica whose view-change is being acknowledged
   Digest vc_digest;
-  Bytes auth;            // single MAC to the new primary
+  InlineBytes auth;      // single MAC to the new primary
 
   static auto Fields(auto& m) { return std::tie(m.view, m.replica, m.vc_sender, m.vc_digest); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // The batch payload for a chosen sequence number that the new primary propagates so backups
@@ -329,13 +347,13 @@ struct NewViewMsg {
   std::vector<std::pair<SeqNo, Digest>> chosen;
   // Payloads for the non-null chosen digests that the primary holds.
   std::vector<BatchPayload> payloads;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.view, m.vc_set, m.min_s, m.chkpt_digest, m.chosen, m.payloads);
   }
   // The decision part only: payloads are self-certifying (checked against the chosen digests).
-  Bytes AuthContent() const;
+  InlineBytes AuthContent() const;
 };
 
 // --- Retransmission (Section 5.2) --------------------------------------------------------------
@@ -352,13 +370,13 @@ struct StatusMsg {
   // Bit r: sender has accepted a view-change message from replica r for `view`.
   Bytes vc_have_bits;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.view, m.view_active, m.last_stable, m.last_exec, m.prepared_bits,
                     m.committed_bits, m.has_new_view, m.vc_have_bits, m.replica);
   }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- State transfer (Section 5.3.2) -------------------------------------------------------------
@@ -371,12 +389,12 @@ struct FetchMsg {
   NodeId replier = 0;     // designated full replier
   NodeId replica = 0;     // requester
   uint64_t nonce = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.level, m.index, m.last_known, m.target, m.replier, m.replica, m.nonce);
   }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // Level value in FETCH/META-DATA denoting the checkpoint summary (root digest + extra blob).
@@ -396,12 +414,12 @@ struct MetaDataMsg {
   Bytes extra;  // checkpoint extra blob; only present in summary replies
   NodeId replica = 0;
   uint64_t nonce = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.target, m.level, m.index, m.parts, m.extra, m.replica, m.nonce);
   }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct DataMsg {
@@ -416,20 +434,20 @@ struct DataMsg {
 struct BatchFetchMsg {
   Digest batch_digest;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.batch_digest, m.replica); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct BatchReplyMsg {
   BatchPayload payload;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.payload, m.replica); }
   // The replica only: the fetcher checks the payload against the digest it asked for.
-  Bytes AuthContent() const { return WireBytes(replica); }
+  InlineBytes AuthContent() const { return WireBytes(replica); }
 };
 
 // --- Key management / recovery (Chapter 4) ------------------------------------------------------
@@ -438,19 +456,19 @@ struct NewKeyMsg {
   NodeId replica = 0;
   uint64_t epoch = 0;    // key-refreshment epoch; receivers reject non-monotonic epochs
   uint64_t counter = 0;  // secure co-processor counter (anti suppress-replay)
-  Bytes auth;            // always a signature
+  InlineBytes auth;      // always a signature
 
   static auto Fields(auto& m) { return std::tie(m.replica, m.epoch, m.counter); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct QueryStableMsg {
   NodeId replica = 0;
   uint64_t nonce = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) { return std::tie(m.replica, m.nonce); }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 struct ReplyStableMsg {
@@ -458,12 +476,12 @@ struct ReplyStableMsg {
   SeqNo last_prepared = 0;    // p
   uint64_t nonce = 0;
   NodeId replica = 0;
-  Bytes auth;
+  InlineBytes auth;
 
   static auto Fields(auto& m) {
     return std::tie(m.last_checkpoint, m.last_prepared, m.nonce, m.replica);
   }
-  Bytes AuthContent() const { return FieldBytes(*this); }
+  InlineBytes AuthContent() const { return FieldBytes(*this); }
 };
 
 // --- Top-level encode/decode --------------------------------------------------------------------
@@ -475,11 +493,13 @@ using Message =
                  ReplyStableMsg>;
 
 MsgType TypeOf(const Message& m);
+// EncodeTyped(m) for whichever type `m` holds.
 Bytes EncodeMessage(const Message& m);
-// Appends the encoding to an existing writer — the formation layer and other frame-aware
-// callers reuse one sized buffer instead of allocating per message.
-void EncodeMessageTo(Writer& w, const Message& m);
+// Slices each request op out of `wire`, sharing its storage (the receive path).
+std::optional<Message> DecodeMessage(const MsgBuffer& wire);
+// Copies each request op out of `wire`.
 std::optional<Message> DecodeMessage(ByteView wire);
+std::optional<Message> DecodeMessage(const Bytes& wire);
 
 // Number of wire message types (tags run 1..kNumMsgTypes).
 constexpr int kNumMsgTypes = 18;
@@ -506,6 +526,18 @@ static_assert(MsgTypeTrait<ReplyStableMsg>::value == MsgType::kReplyStable);
 
 // Writes a digest's 16 raw bytes (for encoders outside the field lists).
 void WriteDigest(Writer& w, const Digest& d);
+
+// Encodes `m` from its own type at its exact size: a counting pass, then one allocation.
+template <WireStruct M>
+Bytes EncodeTyped(const M& m) {
+  SizeCounter size;
+  size.U8(0);
+  WireWriter{size}(m);
+  Writer w(size.size());
+  w.U8(static_cast<uint8_t>(MsgTypeTrait<M>::value));
+  WireWriter{w}(m);
+  return w.Take();
+}
 
 }  // namespace bft
 

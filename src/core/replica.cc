@@ -37,6 +37,11 @@ Replica::Replica(std::unique_ptr<Endpoint> endpoint, const ReplicaConfig* config
       state_(config, model),
       rng_(seed ^ (ep_->id() * 0x9e3779b97f4a7c15ULL)),
       vc_timeout_(config->view_change_timeout) {
+  for (int i = 0; i < config_->n; ++i) {
+    if (config_->ReplicaId(i) != id()) {
+      other_replicas_.push_back(config_->ReplicaId(i));
+    }
+  }
   InstallObservability(&MetricsRegistry::Process(), nullptr);
   ep_->SetHandler([this](MsgBuffer message) { OnMessage(std::move(message)); });
   service_->Initialize(&state_);
@@ -114,16 +119,6 @@ void Replica::Start() {
   }
 }
 
-std::vector<NodeId> Replica::OtherReplicas() const {
-  std::vector<NodeId> out;
-  for (int i = 0; i < config_->n; ++i) {
-    if (config_->ReplicaId(i) != id()) {
-      out.push_back(config_->ReplicaId(i));
-    }
-  }
-  return out;
-}
-
 bool Replica::VerifyFromReplica(NodeId sender, ByteView content, ByteView auth) {
   if (!config_->IsReplicaMember(sender) || sender == id()) {
     return false;
@@ -153,7 +148,8 @@ void Replica::OnMessage(MsgBuffer raw) {
     return;
   }
   obs_.bytes_in->Inc(raw.size());
-  std::optional<Message> decoded = DecodeMessage(raw.view());
+  // Request ops decode as slices of `raw`: every later copy shares the one body.
+  std::optional<Message> decoded = DecodeMessage(raw);
   if (!decoded.has_value()) {
     obs_.dropped_undecodable->Inc();
     return;
@@ -246,7 +242,7 @@ void Replica::Handle(RequestMsg m) {
     // thesis Section 2.3.5).
     if (is_new || multicast) {
       obs_.msg_out[static_cast<size_t>(MsgType::kRequest)]->Inc();
-      SendTo(config_->PrimaryOf(view_), EncodeMessage(Message(req)));
+      SendTo(config_->PrimaryOf(view_), EncodeTyped(req));
     }
     StartViewChangeTimer();
   }
@@ -311,13 +307,14 @@ void Replica::TrySendPrePrepare() {
     ++seqno_;
     Digest d = pp.BatchDigest();
     batch_store_[d] = std::move(payload);
-    AuthAndMulticast(pp);
-    LogEntry& entry = Entry(pp.seq);
-    entry.pre_prepare = pp;
+    AuthAndMulticast(pp, pp.AuthContent(d));
+    SeqNo n = pp.seq;
+    LogEntry& entry = Entry(n);
+    entry.pre_prepare = std::move(pp);
     entry.d = d;
     entry.pp_view = view_;
     TraceBatch(TracePhase::kPrePrepare, d);
-    TryPrepared(pp.seq);  // a lone pre-prepare can complete the certificate when f == 0
+    TryPrepared(n);  // a lone pre-prepare can complete the certificate when f == 0
   }
 }
 
@@ -337,35 +334,75 @@ void Replica::Handle(PrePrepareMsg m) {
   if (!InWatermarks(m.seq)) {
     return;
   }
-  if (!VerifyFromReplica(config_->PrimaryOf(m.view), m.AuthContent(), m.auth)) {
+  // The batch digest, computed once: the MAC covers it, and the log records it.
+  Digest d = m.BatchDigest();
+  if (!VerifyFromReplica(config_->PrimaryOf(m.view), m.AuthContent(d), m.auth)) {
     return;
   }
   if (!BatchRequestsAvailable(m)) {
     // Separate-transmission requests not yet received: buffer and wait (Section 5.1.5).
-    pending_pps_.push_back(std::move(m));
+    pending_pps_.emplace_back(std::move(m), d);
     return;
   }
-  AcceptPrePrepare(m);
+  AcceptPrePrepare(m, d);
 }
 
 void Replica::ProcessPendingPrePrepares() {
   for (size_t i = 0; i < pending_pps_.size();) {
-    if (pending_pps_[i].view != view_ || !InWatermarks(pending_pps_[i].seq)) {
+    const PrePrepareMsg& pending = pending_pps_[i].first;
+    if (pending.view != view_ || !InWatermarks(pending.seq)) {
       pending_pps_.erase(pending_pps_.begin() + static_cast<long>(i));
       continue;
     }
-    if (BatchRequestsAvailable(pending_pps_[i])) {
-      PrePrepareMsg pp = std::move(pending_pps_[i]);
+    if (BatchRequestsAvailable(pending)) {
+      auto [pp, d] = std::move(pending_pps_[i]);
       pending_pps_.erase(pending_pps_.begin() + static_cast<long>(i));
-      AcceptPrePrepare(pp);
+      AcceptPrePrepare(pp, d);
     } else {
       ++i;
     }
   }
 }
 
-void Replica::AcceptPrePrepare(const PrePrepareMsg& pp) {
-  Digest d = pp.BatchDigest();
+Replica::Votes& Replica::VotesOf(LogEntry& entry, NodeId replica) {
+  if (entry.votes.empty()) {
+    entry.votes.resize(static_cast<size_t>(config_->n));
+  }
+  return entry.votes[static_cast<size_t>(config_->ReplicaIndex(replica))];
+}
+
+void Replica::RecordPeerVote(Vote& slot, View v, const Digest& d) {
+  if (slot.present) {
+    obs_.dropped_duplicate->Inc();  // a peer's first vote stands
+    return;
+  }
+  slot = Vote{true, v, d};
+}
+
+int Replica::CountVotes(const LogEntry& entry, Vote Votes::*kind, const Digest& d,
+                        std::optional<View> v) const {
+  int matching = 0;
+  for (const Votes& votes : entry.votes) {
+    const Vote& vote = votes.*kind;
+    if (vote.present && vote.d == d && (!v.has_value() || vote.view == *v)) {
+      ++matching;
+    }
+  }
+  return matching;
+}
+
+void Replica::SendOwnPrepare(LogEntry& entry, View v, SeqNo n, const Digest& d) {
+  PrepareMsg prep;
+  prep.view = v;
+  prep.seq = n;
+  prep.batch_digest = d;
+  prep.replica = id();
+  AuthAndMulticast(prep);
+  VotesOf(entry, id()).prepare = Vote{true, v, d};
+  entry.own_prepare = std::move(prep);
+}
+
+void Replica::AcceptPrePrepare(const PrePrepareMsg& pp, const Digest& d) {
   LogEntry& entry = Entry(pp.seq);
   if (entry.pre_prepare.has_value() && entry.pp_view == pp.view) {
     return;  // never accept two different pre-prepares for the same (view, seq)
@@ -384,13 +421,7 @@ void Replica::AcceptPrePrepare(const PrePrepareMsg& pp) {
       requests_.emplace(rd, req);
       continue;  // condition 1
     }
-    int matching_prepares = 0;
-    for (const auto& [r, prep] : entry.prepares) {
-      if (prep.batch_digest == d) {
-        ++matching_prepares;
-      }
-    }
-    if (matching_prepares >= config_->f()) {
+    if (CountVotes(entry, &Votes::prepare, d) >= config_->f()) {
       requests_.emplace(rd, req);
       continue;  // condition 2
     }
@@ -417,14 +448,7 @@ void Replica::AcceptPrePrepare(const PrePrepareMsg& pp) {
   entry.pp_view = pp.view;
   entry.sent_prepare = true;
   TraceBatch(TracePhase::kPrePrepare, d);
-
-  PrepareMsg prep;
-  prep.view = pp.view;
-  prep.seq = pp.seq;
-  prep.batch_digest = d;
-  prep.replica = id();
-  AuthAndMulticast(prep);
-  entry.prepares[id()] = prep;
+  SendOwnPrepare(entry, pp.view, pp.seq, d);
   TryPrepared(pp.seq);
 }
 
@@ -438,10 +462,7 @@ void Replica::Handle(PrepareMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
-  LogEntry& entry = Entry(m.seq);
-  if (!entry.prepares.emplace(m.replica, m).second) {
-    obs_.dropped_duplicate->Inc();
-  }
+  RecordPeerVote(VotesOf(Entry(m.seq), m.replica).prepare, m.view, m.batch_digest);
   TryPrepared(m.seq);
   ProcessPendingPrePrepares();  // a prepare can complete request-authentication condition 2
 }
@@ -451,14 +472,8 @@ void Replica::TryPrepared(SeqNo n) {
   if (entry.prepared || !entry.pre_prepare.has_value()) {
     return;
   }
-  int matching = 0;
-  for (const auto& [r, prep] : entry.prepares) {
-    if (prep.batch_digest == entry.d && prep.view == entry.pp_view) {
-      ++matching;
-    }
-  }
   // Prepared certificate: the pre-prepare plus 2f prepares (own prepare included for backups).
-  if (matching < 2 * config_->f()) {
+  if (CountVotes(entry, &Votes::prepare, entry.d, entry.pp_view) < 2 * config_->f()) {
     return;
   }
   entry.prepared = true;
@@ -471,8 +486,8 @@ void Replica::TryPrepared(SeqNo n) {
   com.batch_digest = entry.d;
   com.replica = id();
   AuthAndMulticast(com);
-  entry.commits[id()] = com;
-  entry.sent_commit = true;
+  VotesOf(entry, id()).commit = Vote{true, com.view, com.batch_digest};
+  entry.own_commit = std::move(com);
   TryCommitted(n);
   TryExecute();
 }
@@ -484,10 +499,7 @@ void Replica::Handle(CommitMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
-  LogEntry& entry = Entry(m.seq);
-  if (!entry.commits.emplace(m.replica, m).second) {
-    obs_.dropped_duplicate->Inc();
-  }
+  RecordPeerVote(VotesOf(Entry(m.seq), m.replica).commit, m.view, m.batch_digest);
   TryCommitted(m.seq);
 }
 
@@ -496,13 +508,7 @@ void Replica::TryCommitted(SeqNo n) {
   if (entry.committed || !entry.prepared) {
     return;
   }
-  int matching = 0;
-  for (const auto& [r, com] : entry.commits) {
-    if (com.batch_digest == entry.d) {
-      ++matching;
-    }
-  }
-  if (matching < config_->quorum()) {
+  if (CountVotes(entry, &Votes::commit, entry.d) < config_->quorum()) {
     return;
   }
   entry.committed = true;
@@ -646,15 +652,15 @@ void Replica::ExecuteBatch(SeqNo n, bool tentative) {
     reply.tentative = tentative;
     reply.result_digest = ComputeDigest(result);
     cpu().Charge(model_->DigestCost(result.size()));
-    reply.result = result;
-    reply.has_result = true;
-
-    // Cache the full reply for retransmission, then send (digest-only unless designated).
-    last_reply_[req.client] = reply;
-
     bool send_full = !config_->digest_replies ||
                      result.size() <= kDigestReplyThreshold ||
                      req.designated_replier == id() || req.designated_replier == kEveryone;
+    reply.result = std::move(result);
+    reply.has_result = true;
+
+    // Cache the full reply for retransmission (the copy reuses the client's previous cached
+    // result buffer when it is large enough), then send (digest-only unless designated).
+    last_reply_[req.client] = reply;
     if (!send_full) {
       reply.has_result = false;
       reply.result.clear();
@@ -1166,7 +1172,7 @@ void Replica::PrimaryTryNewView() {
   // they missed the originals.
   for (const auto& [sender, vc] : s) {
     if (sender != id()) {
-      MulticastTo(OtherReplicas(), EncodeMessage(Message(vc)));
+      MulticastTo(OtherReplicas(), EncodeTyped(vc));
     }
   }
   AuthAndMulticast(nv);
@@ -1331,18 +1337,12 @@ void Replica::InstallChosenBatches(const NewViewMsg& nv) {
         pp.inline_requests.push_back(req);
       }
     }
-    fresh.pre_prepare = pp;
+    fresh.pre_prepare = std::move(pp);
     fresh.sent_prepare = true;
-    log_[seq] = std::move(fresh);
+    LogEntry& entry = log_[seq] = std::move(fresh);
 
     if (!is_new_primary) {
-      PrepareMsg prep;
-      prep.view = nv.view;
-      prep.seq = seq;
-      prep.batch_digest = d;
-      prep.replica = id();
-      log_[seq].prepares[id()] = prep;
-      AuthAndMulticast(prep);
+      SendOwnPrepare(entry, nv.view, seq, d);
     }
   }
   // Entries above the chosen range belong to dead views: they can never commit with their old
@@ -1502,7 +1502,7 @@ void Replica::Handle(StatusMsg m) {
       if (sender == id()) {
         ResendOwn(peer, vc);
       } else {
-        SendTo(peer, EncodeMessage(Message(vc)));
+        SendTo(peer, EncodeTyped(vc));
       }
     }
     auto nit = sent_new_view_.find(view_);
@@ -1548,16 +1548,12 @@ void Replica::Handle(StatusMsg m) {
       if (config_->PrimaryOf(view_) == id()) {
         ResendOwn(peer, *entry.pre_prepare);
       }
-      auto pit = entry.prepares.find(id());
-      if (pit != entry.prepares.end()) {
-        ResendOwn(peer, pit->second);
+      if (entry.own_prepare.has_value()) {
+        ResendOwn(peer, *entry.own_prepare);
       }
     }
-    if (!peer_committed && entry.sent_commit) {
-      auto cit2 = entry.commits.find(id());
-      if (cit2 != entry.commits.end()) {
-        ResendOwn(peer, cit2->second);
-      }
+    if (!peer_committed && entry.own_commit.has_value()) {
+      ResendOwn(peer, *entry.own_commit);
     }
   }
 }

@@ -116,14 +116,27 @@ class Replica {
   void ForceViewChange();
 
  private:
+  // One replica's prepare or commit for a sequence number: the view and batch digest it named.
+  struct Vote {
+    bool present = false;
+    View view = 0;
+    Digest d;
+  };
+  struct Votes {
+    Vote prepare;
+    Vote commit;
+  };
   struct LogEntry {
     std::optional<PrePrepareMsg> pre_prepare;
     Digest d;                 // batch digest of the accepted pre-prepare
     View pp_view = 0;         // view of the accepted pre-prepare
-    std::map<NodeId, PrepareMsg> prepares;
-    std::map<NodeId, CommitMsg> commits;
+    // The prepare and commit certificates, one slot per replica (by ReplicaIndex), sized on
+    // the first vote. A peer's first vote stands; this replica's own vote overwrites its slot.
+    std::vector<Votes> votes;
+    // This replica's own prepare and commit, authenticated, for status retransmission.
+    std::optional<PrepareMsg> own_prepare;
+    std::optional<CommitMsg> own_commit;
     bool sent_prepare = false;
-    bool sent_commit = false;
     bool prepared = false;
     bool committed = false;
     bool executed_tentative = false;
@@ -160,7 +173,16 @@ class Replica {
   LogEntry& Entry(SeqNo n) { return log_[n]; }
   void TrySendPrePrepare();
   bool BatchRequestsAvailable(const PrePrepareMsg& pp) const;
-  void AcceptPrePrepare(const PrePrepareMsg& pp);
+  // `d` is pp.BatchDigest(), computed once by the caller.
+  void AcceptPrePrepare(const PrePrepareMsg& pp, const Digest& d);
+  Votes& VotesOf(LogEntry& entry, NodeId replica);
+  // Records a peer's prepare or commit in its slot; a repeat is counted as a duplicate.
+  void RecordPeerVote(Vote& slot, View v, const Digest& d);
+  // Votes in `entry` naming `d` (and view `v`, if given) in the Votes member `kind`.
+  int CountVotes(const LogEntry& entry, Vote Votes::*kind, const Digest& d,
+                 std::optional<View> v = std::nullopt) const;
+  // Authenticates, multicasts and logs this replica's prepare for (v, n, d).
+  void SendOwnPrepare(LogEntry& entry, View v, SeqNo n, const Digest& d);
   void TryPrepared(SeqNo n);
   void TryCommitted(SeqNo n);
   void TryExecute();
@@ -217,7 +239,12 @@ class Replica {
   // Fills msg.auth in place and multicasts; callers that log the message for retransmission
   // must store it *after* this call so the stored copy carries the authenticator.
   template <typename M>
-  void AuthAndMulticast(M& msg);
+  void AuthAndMulticast(M& msg) {
+    AuthAndMulticast(msg, msg.AuthContent());
+  }
+  // The same, for a caller that already holds msg.AuthContent().
+  template <typename M>
+  void AuthAndMulticast(M& msg, ByteView content);
   template <typename M>
   void AuthAndSend(NodeId dst, M msg);
   // Retransmits one of our own multicast-authenticated messages point-to-point, regenerating
@@ -228,7 +255,7 @@ class Replica {
   bool VerifyFromReplica(NodeId sender, ByteView content, ByteView auth);
   bool VerifyFromAny(NodeId sender, ByteView content, ByteView auth);
   NodeId primary() const { return config_->PrimaryOf(view_); }
-  std::vector<NodeId> OtherReplicas() const;
+  const std::vector<NodeId>& OtherReplicas() const { return other_replicas_; }
 
   // --- Observability ----------------------------------------------------------------------
   // Stamps `phase` for every sampled request in the batch identified by `d` (no-op when
@@ -263,6 +290,7 @@ class Replica {
   const PerfModel* model_;
   std::unique_ptr<Service> service_;
   AuthContext auth_;
+  std::vector<NodeId> other_replicas_;  // every replica but this one, computed once
   ReplicaState state_;
   Rng rng_;
   Stats stats_;
@@ -311,7 +339,8 @@ class Replica {
   std::deque<Digest> request_queue_;                    // FIFO batching queue
   std::map<NodeId, uint64_t> queued_timestamp_;         // one outstanding request per client
   std::unordered_map<Digest, BatchPayload, DigestHasher> batch_store_;
-  std::vector<PrePrepareMsg> pending_pps_;              // pre-prepares awaiting request bodies
+  // Pre-prepares awaiting request bodies, with their batch digests.
+  std::vector<std::pair<PrePrepareMsg, Digest>> pending_pps_;
   std::deque<RequestMsg> ro_queue_;                     // read-only ops awaiting quiescence
 
   // Exactly-once semantics: last reply sent to each client.
@@ -381,16 +410,16 @@ class Replica {
 };
 
 template <typename M>
-void Replica::AuthAndMulticast(M& msg) {
+void Replica::AuthAndMulticast(M& msg, ByteView content) {
   if (crashed_) {
     return;
   }
-  msg.auth = auth_.GenAuthMulticast(msg.AuthContent(), &cpu());
+  msg.auth = auth_.GenAuthMulticast(content, &cpu());
   if (mute_) {
     return;  // a mute replica still authenticates (so its own log is consistent), never sends
   }
   obs_.msg_out[static_cast<size_t>(MsgTypeTrait<M>::value)]->Inc();
-  MulticastTo(OtherReplicas(), EncodeMessage(Message(msg)));
+  MulticastTo(OtherReplicas(), EncodeTyped(msg));
 }
 
 template <typename M>
@@ -400,7 +429,7 @@ void Replica::AuthAndSend(NodeId dst, M msg) {
   }
   msg.auth = auth_.GenAuthPoint(dst, msg.AuthContent(), &cpu());
   obs_.msg_out[static_cast<size_t>(MsgTypeTrait<M>::value)]->Inc();
-  SendTo(dst, EncodeMessage(Message(std::move(msg))));
+  SendTo(dst, EncodeTyped(msg));
 }
 
 template <typename M>
@@ -414,7 +443,7 @@ void Replica::ResendOwn(NodeId dst, M msg) {
     msg.auth = auth_.GenAuthMulticast(msg.AuthContent(), &cpu());
   }
   obs_.msg_out[static_cast<size_t>(MsgTypeTrait<M>::value)]->Inc();
-  SendTo(dst, EncodeMessage(Message(std::move(msg))));
+  SendTo(dst, EncodeTyped(msg));
 }
 
 }  // namespace bft

@@ -57,7 +57,7 @@ void Replica::Handle(FetchMsg m) {
     data.index = m.index;
     data.lm = page->first;
     data.value = std::move(page->second);
-    SendTo(m.replica, EncodeMessage(Message(std::move(data))));
+    SendTo(m.replica, EncodeTyped(data));
     return;
   }
 
@@ -304,7 +304,7 @@ void Replica::SendNewKey() {
   nk.counter = ++monotonic_counter_;
   // Always signed by the secure co-processor, whatever the protocol's AuthMode.
   nk.auth = auth_.GenerateSignature(nk.AuthContent(), &cpu());
-  MulticastTo(OtherReplicas(), EncodeMessage(Message(std::move(nk))));
+  MulticastTo(OtherReplicas(), EncodeTyped(nk));
 }
 
 void Replica::Handle(NewKeyMsg m) {
@@ -464,7 +464,7 @@ void Replica::SendRecoveryRequest() {
   req.auth = auth_.GenerateAuthenticator(req.AuthContent(), &cpu());
   // Signed conceptually by the co-processor; charge the signature cost on top.
   cpu().Charge(model_->SignCost());
-  MulticastTo(OtherReplicas(), EncodeMessage(Message(std::move(req))));
+  MulticastTo(OtherReplicas(), EncodeTyped(req));
 
   uint64_t ts = recovery_request_ts_;
   SetTimer(4 * kFetchRetry, [this, ts]() {

@@ -111,7 +111,9 @@ TEST(ByzantineTest, AlteredRequestOpIsRejectedEverywhere) {
     std::optional<Message> decoded = DecodeMessage(msg);
     if (IsClientId(src) && decoded.has_value() && std::holds_alternative<RequestMsg>(*decoded)) {
       RequestMsg req = std::get<RequestMsg>(*decoded);
-      req.op[req.op.size() - 8] = 100;  // the delta's low byte
+      Bytes op = req.op.Copy();  // a request's op is immutable: rebuild it
+      op[op.size() - 8] = 100;   // the delta's low byte
+      req.op = op;
       Bytes wire = EncodeMessage(Message(req));
       EXPECT_EQ(wire.size(), msg.size());
       const_cast<Bytes&>(msg) = wire;
@@ -212,6 +214,69 @@ TEST(ByzantineTest, MuteReplicaPlusMessageLossStillLive) {
     ASSERT_TRUE(result.has_value()) << "op " << i;
     EXPECT_EQ(CounterService::DecodeValue(*result), i);
   }
+}
+
+// Runs one op while replica 3 (mute, Byzantine) equivocates to replica 1: as the primary's
+// pre-prepare for seq 1 reaches replica 1, replica 3 sends it two authentic prepares for
+// (view 0, seq 1), the batch's real digest and a bogus one, `real_first` choosing the order.
+// Replica 1 hears nothing else but the primary's pre-prepares, so its prepared certificate
+// (its own prepare plus one more) depends on replica 3's vote alone. Returns replica 1's
+// tentative execution point and its duplicate-message count.
+std::pair<SeqNo, uint64_t> RunEquivocatingPrepares(bool real_first) {
+  ClusterOptions options = SmallCluster(67);
+  options.config.view_change_timeout = 10 * kSecond;
+  Cluster cluster(options, CounterFactory());
+  Replica* target = cluster.replica(1);
+  Replica* byzantine = cluster.replica(3);
+  byzantine->SetMute(true);
+  bool injected = false;
+  cluster.net().SetFilter([&](NodeId src, NodeId dst, const Bytes& msg) {
+    if (dst != target->id() || src == byzantine->id()) {
+      return Network::FilterAction::kDeliver;
+    }
+    std::optional<Message> decoded = DecodeMessage(msg);
+    if (!decoded.has_value() || !std::holds_alternative<PrePrepareMsg>(*decoded)) {
+      return Network::FilterAction::kDrop;
+    }
+    const PrePrepareMsg& pp = std::get<PrePrepareMsg>(*decoded);
+    if (!injected && pp.seq == 1) {
+      injected = true;
+      Digest real = pp.BatchDigest();
+      Digest bogus = ComputeDigest(ToBytes("another batch"));
+      SimTime departure = cluster.sim().Now();
+      for (const Digest& d : real_first ? std::vector{real, bogus} : std::vector{bogus, real}) {
+        PrepareMsg prep;
+        prep.view = pp.view;
+        prep.seq = pp.seq;
+        prep.batch_digest = d;
+        prep.replica = byzantine->id();
+        prep.auth = byzantine->auth().GenAuthMulticast(prep.AuthContent(), nullptr);
+        cluster.net().Send(byzantine->id(), target->id(), EncodeTyped(prep), departure);
+        departure += kMillisecond;  // the second arrives strictly later
+      }
+    }
+    return Network::FilterAction::kDeliver;
+  });
+  Client* client = cluster.AddClient();
+  client->Invoke(CounterService::IncOp(), false, [](Bytes) {});
+  cluster.sim().RunFor(30 * kMillisecond);
+  EXPECT_TRUE(injected);
+  EXPECT_EQ(target->view(), 0u);
+  std::string labels = "node=\"" + std::to_string(target->id()) + "\"";
+  uint64_t duplicates = cluster.metrics().GetCounter("bft_messages_duplicate_total", labels)->value();
+  return {target->last_tentative_executed(), duplicates};
+}
+
+TEST(ByzantineTest, EquivocatingReplicaContributesOnlyItsFirstPrepare) {
+  // A replica's first prepare for a (view, seq) is its vote; a second one with another digest
+  // is dropped as a duplicate and does not replace it.
+  auto [bogus_first_executed, bogus_first_dups] = RunEquivocatingPrepares(false);
+  EXPECT_EQ(bogus_first_executed, 0u) << "the second, matching prepare completed a certificate";
+  EXPECT_EQ(bogus_first_dups, 1u);
+  // Control: with the matching prepare first, the same traffic prepares and executes seq 1.
+  auto [real_first_executed, real_first_dups] = RunEquivocatingPrepares(true);
+  EXPECT_EQ(real_first_executed, 1u);
+  EXPECT_EQ(real_first_dups, 1u);
 }
 
 }  // namespace

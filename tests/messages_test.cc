@@ -7,17 +7,21 @@
 #include <new>
 
 #include "src/common/rng.h"
+#include "src/core/auth.h"
 #include "src/core/messages.h"
 
-// Counting allocator for this test binary: while `g_count_allocs` is set, the largest single
-// allocation is recorded, so a test can bound what a decoder allocates for a given input.
+// Counting allocator for this test binary: while `g_count_allocs` is set, the number of
+// allocations and the largest single one are recorded, so a test can bound what a decoder
+// allocates for a given input and pin the paths that allocate nothing.
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_largest_alloc{0};
+std::atomic<size_t> g_alloc_calls{0};
 }  // namespace
 
 void* operator new(size_t n) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
     size_t prev = g_largest_alloc.load(std::memory_order_relaxed);
     while (n > prev && !g_largest_alloc.compare_exchange_weak(prev, n)) {
     }
@@ -34,6 +38,16 @@ void* operator new(size_t n) {
 
 namespace bft {
 namespace {
+
+// Heap allocations made by `fn`.
+template <typename Fn>
+size_t AllocationsIn(Fn&& fn) {
+  g_alloc_calls = 0;
+  g_count_allocs = true;
+  fn();
+  g_count_allocs = false;
+  return g_alloc_calls.load();
+}
 
 template <typename T>
 T RoundTrip(const T& msg) {
@@ -74,7 +88,9 @@ TEST(MessagesTest, RequestDigestIgnoresAuthAndRouting) {
   b.designated_replier = 9;
   b.read_only = false;
   EXPECT_EQ(a.RequestDigest(), b.RequestDigest());
-  b.op.push_back(1);
+  Bytes longer = b.op.Copy();  // a request's op is immutable: rebuild it
+  longer.push_back(1);
+  b.op = longer;
   EXPECT_NE(a.RequestDigest(), b.RequestDigest());
 }
 
@@ -95,7 +111,9 @@ TEST(MessagesTest, RequestAuthContentCoversDigestNotOp) {
   // MAC over the fixed header plus the request digest: its cost does not grow with the op.
   EXPECT_EQ(small.AuthContent().size(), big.AuthContent().size());
   RequestMsg flipped = big;
-  flipped.op[2048] ^= 0x01;
+  Bytes flipped_op = big.op.Copy();  // a request's op is immutable: rebuild it
+  flipped_op[2048] ^= 0x01;
+  flipped.op = flipped_op;
   EXPECT_NE(big.AuthContent(), flipped.AuthContent());
   // Header fields outside the digest are still covered.
   RequestMsg ro = small;
@@ -613,6 +631,107 @@ TEST(MessagesTest, TinyMessagesClaimingHugeCountsDoNotAllocate) {
     EXPECT_FALSE(decoded) << "tag " << static_cast<int>(wire[0]);
     EXPECT_LT(g_largest_alloc.load(), size_t{64} << 10) << "tag " << static_cast<int>(wire[0]);
   }
+}
+
+// --- The allocation-free normal case -------------------------------------------------------------
+
+TEST(MessagesTest, NormalCaseMacContentAllocatesNothing) {
+  // MAC'd content lives in inline storage, so making it for a MAC or a check costs no heap.
+  RequestMsg request = SampleRequest();
+  request.op = Bytes(4096, 0x5a);
+  ReplyMsg reply = SampleReply();
+  PrepareMsg prepare = SamplePrepare();
+  CommitMsg commit = SampleCommit();
+  CheckpointMsg checkpoint = SampleCheckpoint();
+  size_t total = 0;
+  EXPECT_EQ(AllocationsIn([&]() { total += request.AuthContent().size(); }), 0u);
+  EXPECT_EQ(AllocationsIn([&]() { total += reply.AuthContent().size(); }), 0u);
+  EXPECT_EQ(AllocationsIn([&]() { total += prepare.AuthContent().size(); }), 0u);
+  EXPECT_EQ(AllocationsIn([&]() { total += commit.AuthContent().size(); }), 0u);
+  EXPECT_EQ(AllocationsIn([&]() { total += checkpoint.AuthContent().size(); }), 0u);
+  EXPECT_GT(total, 0u);
+}
+
+TEST(MessagesTest, AuthenticatorsAllocateNothing) {
+  // n = 4: the authenticator (4 MACs) is written into inline storage, and checking a slot
+  // builds nothing. The first use of each session key fills the key cache, so warm it first.
+  ReplicaConfig config;
+  config.n = 4;
+  PerfModel model;
+  PublicKeyDirectory directory;
+  AuthContext sender(0, &config, &model, &directory, directory.Generate(0, 1));
+  AuthContext receiver(1, &config, &model, &directory, directory.Generate(1, 2));
+  InlineBytes content = SamplePrepare().AuthContent();
+  InlineBytes auth = sender.GenerateAuthenticator(content, nullptr);
+  ASSERT_TRUE(receiver.VerifyAuthenticator(0, content, auth, nullptr));
+
+  EXPECT_EQ(AllocationsIn([&]() { auth = sender.GenerateAuthenticator(content, nullptr); }), 0u);
+  EXPECT_EQ(auth.size(), 4 * MacTag::kSize);
+  bool ok = false;
+  EXPECT_EQ(AllocationsIn([&]() { ok = receiver.VerifyAuthenticator(0, content, auth, nullptr); }),
+            0u);
+  EXPECT_TRUE(ok);
+}
+
+TEST(MessagesTest, DecodingAPrepareOrCommitAllocatesNothing) {
+  // The trailer decodes into inline storage and the digest in place.
+  PrepareMsg prepare = SamplePrepare();
+  CommitMsg commit = SampleCommit();
+  commit.auth = Bytes(32, 2);
+  Bytes prepare_wire = EncodeTyped(prepare);
+  Bytes commit_wire = EncodeTyped(commit);
+  std::optional<Message> decoded;
+  EXPECT_EQ(AllocationsIn([&]() { decoded = DecodeMessage(prepare_wire); }), 0u);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<PrepareMsg>(*decoded).auth, prepare.auth);
+  EXPECT_EQ(AllocationsIn([&]() { decoded = DecodeMessage(commit_wire); }), 0u);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<CommitMsg>(*decoded).batch_digest, commit.batch_digest);
+}
+
+TEST(MessagesTest, EncodingALargeRequestAllocatesOnce) {
+  // A counting pass sizes the output; the encode then fills one exact-size buffer.
+  RequestMsg request = SampleRequest();
+  request.op = Bytes(4096, 0x5a);
+  Message message(request);
+  Bytes typed;
+  Bytes visited;
+  EXPECT_EQ(AllocationsIn([&]() { typed = EncodeTyped(request); }), 1u);
+  EXPECT_EQ(AllocationsIn([&]() { visited = EncodeMessage(message); }), 1u);
+  EXPECT_EQ(typed.size(), typed.capacity());
+  EXPECT_EQ(typed, visited);
+}
+
+TEST(MessagesTest, DecodedRequestCopiesShareTheirOp) {
+  // Decoded from a shared buffer, the op is a slice of that buffer, and copies of the
+  // request share it: no copy of the body, no allocation.
+  RequestMsg request = SampleRequest();
+  request.op = Bytes(4096, 0x5a);
+  MsgBuffer wire = EncodeTyped(request);
+  std::optional<Message> decoded = DecodeMessage(wire);
+  ASSERT_TRUE(decoded.has_value());
+  const RequestMsg& original = std::get<RequestMsg>(*decoded);
+  EXPECT_EQ(original.op, request.op);
+  EXPECT_GE(original.op.data(), wire.data());
+  EXPECT_LE(original.op.data() + original.op.size(), wire.data() + wire.size());
+
+  std::optional<RequestMsg> first;
+  std::optional<RequestMsg> second;
+  EXPECT_EQ(AllocationsIn([&]() {
+              first.emplace(original);
+              second.emplace(*first);
+            }),
+            0u);
+  EXPECT_EQ(first->op.data(), original.op.data());
+  EXPECT_EQ(second->op.data(), original.op.data());
+  EXPECT_EQ(second->RequestDigest(), request.RequestDigest());
+
+  // Decoded from a plain view, the op is a copy that outlives the input.
+  std::optional<Message> copied = DecodeMessage(wire.view());
+  ASSERT_TRUE(copied.has_value());
+  const RequestMsg& owned = std::get<RequestMsg>(*copied);
+  EXPECT_EQ(owned.op, request.op);
+  EXPECT_TRUE(owned.op.data() < wire.data() || owned.op.data() >= wire.data() + wire.size());
 }
 
 }  // namespace

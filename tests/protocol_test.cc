@@ -2,6 +2,7 @@
 // cluster: agreement, exactly-once semantics, batching, optimizations, and fail-stop faults.
 #include <gtest/gtest.h>
 
+#include "src/core/messages.h"
 #include "src/service/counter_service.h"
 #include "src/service/kv_service.h"
 #include "src/service/null_service.h"
@@ -207,6 +208,40 @@ TEST(ProtocolTest, LargeRequestReachesPrimaryOnce) {
   EXPECT_EQ(from_clients, 10);
   EXPECT_EQ(from_replicas, 0);
   EXPECT_EQ(client->stats().retransmissions, 0u);
+}
+
+TEST(ProtocolTest, LaggingBackupCatchesUpFromRetransmittedVotes) {
+  // Replica 3 misses every prepare and commit of an op, then the network heals. Its status
+  // messages report seq 1 neither prepared nor committed, and its peers retransmit their own
+  // prepares and commits: it executes the op with no view change and no state transfer.
+  Cluster cluster(SmallCluster(13), CounterFactory());
+  Replica* lagging = cluster.replica(3);
+  bool dropping = true;
+  int votes_after_heal = 0;
+  cluster.net().SetFilter([&](NodeId src, NodeId dst, const Bytes& msg) {
+    if (dst != lagging->id()) {
+      return Network::FilterAction::kDeliver;
+    }
+    std::optional<Message> m = DecodeMessage(msg);
+    bool vote = m.has_value() && (std::holds_alternative<PrepareMsg>(*m) ||
+                                  std::holds_alternative<CommitMsg>(*m));
+    if (vote && dropping) {
+      return Network::FilterAction::kDrop;
+    }
+    votes_after_heal += vote ? 1 : 0;
+    return Network::FilterAction::kDeliver;
+  });
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+  EXPECT_EQ(lagging->last_tentative_executed(), 0u);
+
+  dropping = false;
+  ASSERT_TRUE(cluster.WaitForExecution(1, kSecond));
+  EXPECT_EQ(lagging->last_executed(), 1u);
+  EXPECT_GT(votes_after_heal, 0);
+  EXPECT_EQ(lagging->view(), 0u);
+  EXPECT_EQ(lagging->stats().view_changes_started, 0u);
+  EXPECT_EQ(lagging->stats().state_transfers, 0u);
 }
 
 TEST(ProtocolTest, LargeReplyUsesDigestReplies) {

@@ -65,11 +65,21 @@ void CommitKvOps(RtClusterOptions options) {
   EXPECT_EQ(client->stats().ops_completed, 100u);
 
   // Every live replica executed all 50 writes (reads bypass ordering). Sampled on each
-  // replica's own loop thread.
-  for (int i = 0; i < cluster.num_replicas(); ++i) {
+  // replica's own loop thread. A certificate needs only 2f+1 replies, so one replica may
+  // still lag, and RunOn's task runs ahead of that replica's inbox backlog: poll with a
+  // bounded wait until it catches up.
+  auto executed_at = [&cluster](int i) {
     SeqNo executed = 0;
     Replica* replica = cluster.replica(i);
     cluster.RunOn(i, [&executed, replica]() { executed = replica->last_executed(); });
+    return executed;
+  };
+  for (int i = 0; i < cluster.num_replicas(); ++i) {
+    SeqNo executed = executed_at(i);
+    for (int spins = 0; executed < 50 && spins < 2000; ++spins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      executed = executed_at(i);
+    }
     EXPECT_GE(executed, 50u) << "replica " << i;
   }
 
