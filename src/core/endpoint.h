@@ -1,8 +1,8 @@
 // The runtime seam: everything the protocol core needs from its execution environment.
 //
 // `Replica` and `Client` are pure automata; an Endpoint supplies their node identity,
-// unicast/multicast transport, one-shot and periodic timers, a monotonic clock, a random
-// number generator, and the CPU meter their work is charged to. Two implementations exist:
+// unicast/multicast transport, one-shot timers, a monotonic clock, a random number
+// generator, and the CPU meter their work is charged to. Two implementations exist:
 //
 //   - src/sim/node.h     — discrete-event simulation: timers are simulator events, sends go
 //                          through the modelled unreliable Network, the clock is simulated
@@ -10,6 +10,11 @@
 //   - src/runtime/       — real clock: an event-loop thread per node, sends go through a
 //                          Transport (loopback UDP sockets, or an in-process channel for
 //                          fast tests), timers fire on the monotonic clock.
+//
+// A harness picks the runtime only by the endpoints it makes: every harness builds its
+// replica group through one ReplicaGroup (src/workload/replica_group.h), which calls the
+// harness's endpoint factory for each replica and client and wires everything else the same
+// way on both runtimes.
 //
 // Threading contract: all handler and timer callbacks for one endpoint run on one logical
 // thread (the simulator's event loop, or the node's own loop thread), so the core never
@@ -67,15 +72,11 @@ class Endpoint {
   virtual void Multicast(const std::vector<NodeId>& dsts, const MsgBuffer& msg) = 0;
 
   // --- Timers ------------------------------------------------------------------------------
-  // Handlers run under CPU accounting, on the endpoint's logical thread.
+  // One-shot: fires once, `delay` from now. Handlers run under CPU accounting, on the
+  // endpoint's logical thread; a handler that needs a period re-arms itself.
   virtual TimerId SetTimer(SimTime delay, std::function<void()> fn) = 0;
-  // Fires every `period` until cancelled.
-  virtual TimerId SetPeriodicTimer(SimTime period, std::function<void()> fn) = 0;
-  // Cancelling an already-fired (one-shot) or unknown id is a no-op.
+  // Cancelling an already-fired or unknown id is a no-op.
   virtual void CancelTimer(TimerId id) = 0;
-  // Re-arms a pending timer to fire `delay` from now, keeping its id and callback.
-  // Returns false (and does nothing) if the timer already fired or never existed.
-  virtual bool ResetTimer(TimerId id, SimTime delay) = 0;
   virtual void CancelAllTimers() = 0;
 
   // Quiesces the endpoint: stops delivery, cancels timers, and joins any runtime threads, so
@@ -92,7 +93,6 @@ class Endpoint {
   // crashed/recovering flags). Reattach restores delivery.
   virtual void Detach() = 0;
   virtual void Reattach() = 0;
-  virtual bool attached() const = 0;
 
  protected:
   // Implementations deliver a received message through this (CPU accounting already begun).

@@ -630,74 +630,60 @@ void Replica::ExecuteBatch(SeqNo n, bool tentative) {
       if (req.client != id()) {
         SendNewKey();
       }
-    } else if (service_->IsAdminOp(req.op) && !IsAdminClient(req.client)) {
-      // Admin ACL (migration/rebalance control plane): the op is ordered and replied to like
-      // any other — so the client gets a certified, clean error — but never executes. Pure
-      // function of client id + request: every correct replica denies identically.
-      ByteView denied = Service::AccessDeniedResult();
-      result = Bytes(denied.begin(), denied.end());
     } else {
-      cpu().Charge(service_->ExecutionCost(req.op));
-      result = service_->Execute(req.client, req.op, payload.ndet, /*read_only=*/false);
+      result = RunOp(req, payload.ndet, /*read_only=*/false);
     }
     ++stats_.requests_executed;
     obs_.requests_executed->Inc();
     TraceRequest(TracePhase::kExecuted, req.client, req.timestamp);
-
-    ReplyMsg reply;
-    reply.view = view_;
-    reply.timestamp = req.timestamp;
-    reply.client = req.client;
-    reply.replica = id();
-    reply.tentative = tentative;
-    reply.result_digest = ComputeDigest(result);
-    cpu().Charge(model_->DigestCost(result.size()));
-    bool send_full = !config_->digest_replies ||
-                     result.size() <= kDigestReplyThreshold ||
-                     req.designated_replier == id() || req.designated_replier == kEveryone;
-    reply.result = std::move(result);
-    reply.has_result = true;
-
-    // Cache the full reply for retransmission (the copy reuses the client's previous cached
-    // result buffer when it is large enough), then send (digest-only unless designated).
-    last_reply_[req.client] = reply;
-    if (!send_full) {
-      reply.has_result = false;
-      reply.result.clear();
-    }
-    AuthAndSend(req.client, std::move(reply));
+    SendReply(req, std::move(result), tentative, /*cache=*/true);
   }
 }
 
-void Replica::ExecuteReadOnly(const RequestMsg& req) {
-  Bytes result;
+Bytes Replica::RunOp(const RequestMsg& req, ByteView ndet, bool read_only) {
   if (service_->IsAdminOp(req.op) && !IsAdminClient(req.client)) {
-    // Defense in depth: no current service marks an admin op read-only (so these normally
-    // reach the ACL in ExecuteBatch via ordering), but the documented invariant — admin ops
-    // never execute for non-admin clients — must not depend on that coincidence.
+    // Admin ACL (migration/rebalance control plane): the op is answered like any other — so
+    // the client gets a certified, clean error — but never executes. Pure function of client
+    // id + request: every correct replica denies identically. No current service marks an
+    // admin op read-only, but the read-only path checks too: the invariant must not depend
+    // on that coincidence.
     ByteView denied = Service::AccessDeniedResult();
-    result = Bytes(denied.begin(), denied.end());
-  } else {
-    cpu().Charge(service_->ExecutionCost(req.op));
-    result = service_->Execute(req.client, req.op, {}, /*read_only=*/true);
+    return Bytes(denied.begin(), denied.end());
   }
+  cpu().Charge(service_->ExecutionCost(req.op));
+  return service_->Execute(req.client, req.op, ndet, read_only);
+}
 
+void Replica::SendReply(const RequestMsg& req, Bytes result, bool tentative, bool cache) {
   ReplyMsg reply;
   reply.view = view_;
   reply.timestamp = req.timestamp;
   reply.client = req.client;
   reply.replica = id();
-  reply.tentative = false;
+  reply.tentative = tentative;
   reply.result_digest = ComputeDigest(result);
   cpu().Charge(model_->DigestCost(result.size()));
   bool send_full = !config_->digest_replies ||
                    result.size() <= kDigestReplyThreshold ||
                    req.designated_replier == id() || req.designated_replier == kEveryone;
-  reply.has_result = send_full;
-  if (send_full) {
-    reply.result = std::move(result);
+  reply.result = std::move(result);
+  reply.has_result = true;
+
+  if (cache) {
+    // Cache the full reply for retransmission (the copy reuses the client's previous cached
+    // result buffer when it is large enough).
+    last_reply_[req.client] = reply;
+  }
+  // Digest-only unless designated.
+  if (!send_full) {
+    reply.has_result = false;
+    reply.result.clear();
   }
   AuthAndSend(req.client, std::move(reply));
+}
+
+void Replica::ExecuteReadOnly(const RequestMsg& req) {
+  SendReply(req, RunOp(req, {}, /*read_only=*/true), /*tentative=*/false, /*cache=*/false);
 }
 
 void Replica::DrainReadOnlyQueue() {
@@ -1028,8 +1014,12 @@ void Replica::Handle(ViewChangeMsg m) {
   }
 
   if (!auth_ok) {
-    // Keep it: f+1 matching acks can still authenticate it (Section 3.2.4).
-    vc_unverified_[m.view][m.replica] = std::move(m);
+    // Keep it: f+1 matching acks can still authenticate it (Section 3.2.4). Anyone can send
+    // one without a key, so keep only the latest per sender, and none below our view: a copy
+    // per view would let a forger grow this state without bound.
+    if (m.view >= view_) {
+      vc_unverified_[m.replica] = std::move(m);
+    }
     return;
   }
 
@@ -1085,14 +1075,14 @@ void Replica::Handle(ViewChangeAckMsg m) {
   if (vit != vc_msgs_[m.view].end() && vit->second.MessageDigest() != m.vc_digest) {
     return;
   }
-  auto uit = vc_unverified_[m.view].find(m.vc_sender);
-  if (uit != vc_unverified_[m.view].end() &&
+  auto uit = vc_unverified_.find(m.vc_sender);
+  if (uit != vc_unverified_.end() && uit->second.view == m.view &&
       uit->second.MessageDigest() == m.vc_digest) {
     // Promote an unverified view-change once f+1 distinct replicas vouch for it.
     vc_acks_[m.view][m.vc_sender].insert(m.replica);
     if (static_cast<int>(vc_acks_[m.view][m.vc_sender].size()) >= config_->f() + 1) {
-      vc_msgs_[m.view][m.vc_sender] = uit->second;
-      vc_unverified_[m.view].erase(uit);
+      vc_msgs_[m.view][m.vc_sender] = std::move(uit->second);
+      vc_unverified_.erase(uit);
     }
   } else {
     vc_acks_[m.view][m.vc_sender].insert(m.replica);
@@ -1211,8 +1201,8 @@ void Replica::Handle(NewViewMsg m) {
       s[sender] = it->second;
       continue;
     }
-    auto uit = vc_unverified_[m.view].find(sender);
-    if (uit != vc_unverified_[m.view].end() &&
+    auto uit = vc_unverified_.find(sender);
+    if (uit != vc_unverified_.end() && uit->second.view == m.view &&
         uit->second.MessageDigest() == digest &&
         static_cast<int>(vc_acks_[m.view][sender].size()) >= config_->f() + 1) {
       s[sender] = uit->second;
@@ -1392,7 +1382,7 @@ void Replica::EnterView(View v) {
   // Garbage-collect old view-change bookkeeping.
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.lower_bound(v));
   vc_accepted_.erase(vc_accepted_.begin(), vc_accepted_.lower_bound(v));
-  vc_unverified_.erase(vc_unverified_.begin(), vc_unverified_.lower_bound(v));
+  std::erase_if(vc_unverified_, [v](const auto& entry) { return entry.second.view < v; });
   vc_acks_.erase(vc_acks_.begin(), vc_acks_.lower_bound(v));
 
   TryExecute();

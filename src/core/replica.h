@@ -187,7 +187,12 @@ class Replica {
   void TryCommitted(SeqNo n);
   void TryExecute();
   void ExecuteBatch(SeqNo n, bool tentative);
-  void SendReply(NodeId client, const ReplyMsg& reply);
+  // Executes `req` in the service, or answers it with the admin ACL's denial.
+  Bytes RunOp(const RequestMsg& req, ByteView ndet, bool read_only);
+  // Digests `result`, charges the digest, and sends the reply: in full, or digest-only when
+  // the result is large and this replica is not the designated replier. `cache` keeps the
+  // full reply for retransmission (ordered requests only).
+  void SendReply(const RequestMsg& req, Bytes result, bool tentative, bool cache);
   void MaybeTakeCheckpoint(SeqNo n);
   void OnCheckpointCommitted(SeqNo n);
   void TryStable(SeqNo n);
@@ -354,7 +359,7 @@ class Replica {
   PqState pq_;
   std::map<View, std::map<NodeId, ViewChangeMsg>> vc_msgs_;           // verified VCs per view
   std::map<View, std::map<NodeId, std::set<NodeId>>> vc_acks_;        // acks per vc sender
-  std::map<View, std::map<NodeId, ViewChangeMsg>> vc_unverified_;     // awaiting acks
+  std::map<NodeId, ViewChangeMsg> vc_unverified_;  // awaiting acks: latest per sender
   std::map<View, std::map<NodeId, ViewChangeMsg>> vc_accepted_;       // S sets (acked)
   std::optional<NewViewMsg> pending_new_view_;
   std::map<View, NewViewMsg> sent_new_view_;   // primary: new-view we sent, for retransmission

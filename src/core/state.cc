@@ -206,12 +206,9 @@ void ReplicaState::DiscardCheckpointsBelow(SeqNo keep_from) {
       return;
     }
     // Merge forward: entries absent from `next` keep their value from `oldest` at `next`.
-    for (auto& [idx, entry] : oldest->second.pages) {
-      next->second.pages.emplace(idx, std::move(entry));
-    }
-    for (auto& [key, entry] : oldest->second.nodes) {
-      next->second.nodes.emplace(key, entry);
-    }
+    // merge() splices those nodes across and leaves keys `next` already has untouched.
+    next->second.pages.merge(oldest->second.pages);
+    next->second.nodes.merge(oldest->second.nodes);
     checkpoints_.erase(oldest);
   }
 }

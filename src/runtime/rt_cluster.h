@@ -1,10 +1,11 @@
 // Real-clock harness: a replica group plus clients, each on its own event-loop thread,
 // joined by a Transport (loopback UDP sockets or the in-process channel).
 //
-// The runtime mirror of workload/Cluster. Construction wires every node (key directory,
-// services, handlers) single-threaded; Start() then launches all loops at once. Execute()
-// posts the operation onto the client's own loop and blocks the calling thread until the
-// reply certificate completes or the real-time timeout passes.
+// The runtime mirror of workload/Cluster: the group is the same ReplicaGroup
+// (src/workload/replica_group.h), built over RtNode endpoints, so ids, seeds, keys and
+// observability are wired exactly as on the simulator. Construction wires every node
+// single-threaded; Start() then launches all loops at once. Execute() and RunOn() post work
+// onto a node's own loop and block the calling thread until it completes.
 #ifndef SRC_RUNTIME_RT_CLUSTER_H_
 #define SRC_RUNTIME_RT_CLUSTER_H_
 
@@ -13,15 +14,12 @@
 #include <optional>
 #include <vector>
 
-#include "src/core/client.h"
-#include "src/core/replica.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/runtime/fault_transport.h"
 #include "src/runtime/formation.h"
 #include "src/runtime/inproc_transport.h"
 #include "src/runtime/rt_node.h"
 #include "src/runtime/udp_transport.h"
+#include "src/workload/replica_group.h"
 
 namespace bft {
 
@@ -42,9 +40,7 @@ struct RtClusterOptions {
 
 class RtCluster {
  public:
-  using RtServiceFactory = std::function<std::unique_ptr<Service>(NodeId replica)>;
-
-  RtCluster(RtClusterOptions options, RtServiceFactory factory);
+  RtCluster(RtClusterOptions options, ServiceFactory factory);
   ~RtCluster();  // stops all loops
 
   RtCluster(const RtCluster&) = delete;
@@ -73,14 +69,12 @@ class RtCluster {
   // state — is destroyed. In-flight datagrams to it drop, exactly like a machine losing
   // power. Safe to call from the harness thread while the cluster runs; idempotent.
   void CrashReplica(int i);
-  // Brings a crashed replica back with a fresh endpoint and empty state, as if rebooted from
-  // a blank disk. It rejoins through the paper's protocol: status exchange reveals the
+  // Brings a crashed replica back, rebuilt by the group exactly as it was first built: a
+  // fresh endpoint, empty state, the same node id and key seed (so session keys re-derive
+  // identically). It rejoins through the paper's protocol: status exchange reveals the
   // current view and stable checkpoint, and state transfer (§4.6) fetches the service state.
-  // The same node id and key seed are reused, so session keys re-derive identically.
   void RestartReplica(int i);
-  bool replica_running(int i) const {
-    return replica_nodes_[static_cast<size_t>(i)] != nullptr;
-  }
+  bool replica_running(int i) const { return group_.replica(i) != nullptr; }
 
   // Fault-injection control. Always present in the transport stack (disabled injection is a
   // relaxed atomic load per send); sits under the formation layer so faults hit whole wire
@@ -88,12 +82,12 @@ class RtCluster {
   FaultTransport& faults() { return *fault_; }
 
   // Null while replica `i` is crashed.
-  Replica* replica(int i) { return replicas_[static_cast<size_t>(i)].get(); }
+  Replica* replica(int i) { return group_.replica(i); }
   int num_replicas() const { return options_.config.n; }
   Client* client(size_t i) { return clients_[i].get(); }
   size_t num_clients() const { return clients_.size(); }
   Transport& transport() { return *transport_; }
-  const ReplicaConfig& config() const { return options_.config; }
+  const ReplicaConfig& config() const { return group_.config(); }
 
   // Harness-owned observability (see workload/Cluster). Thread-safe: instruments are
   // atomics, the tracer locks internally, so loop threads record while the harness exports.
@@ -107,20 +101,15 @@ class RtCluster {
   HealthSnapshot Health();
 
  private:
-  RtNode* NodeOf(const Client* client);
-
   RtClusterOptions options_;
-  RtServiceFactory factory_;  // kept for RestartReplica
   // Destroyed after the replicas/clients/transport whose instruments point into it.
   MetricsRegistry metrics_;
   RequestTracer tracer_;
+  // Borrowed from the transport_ stack; declared first because building the stack sets it.
+  FaultTransport* fault_ = nullptr;
   std::unique_ptr<Transport> transport_;
-  FaultTransport* fault_ = nullptr;  // borrowed from the transport_ stack
-  PublicKeyDirectory directory_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<RtNode*> replica_nodes_;  // borrowed from replicas_' endpoints
+  ReplicaGroup group_;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::vector<RtNode*> client_nodes_;   // borrowed from clients_' endpoints
   NodeId next_client_id_ = kClientIdBase;
   bool started_ = false;
 };

@@ -150,25 +150,13 @@ void RtNode::Multicast(const std::vector<NodeId>& dsts, const MsgBuffer& msg) {
   transport_->Multicast(id(), dsts, msg);
 }
 
-Endpoint::TimerId RtNode::ArmLocked(SimTime delay, SimTime period, std::function<void()> fn) {
-  TimerId id = next_timer_++;
-  SimTime deadline = Now() + delay;
-  timers_.emplace(id, Timer{deadline, period, std::move(fn)});
-  schedule_.emplace(deadline, id);
-  return id;
-}
-
 Endpoint::TimerId RtNode::SetTimer(SimTime delay, std::function<void()> fn) {
   MutexLock lock(mu_);
-  TimerId id = ArmLocked(delay, 0, std::move(fn));
+  TimerId id = next_timer_++;
+  SimTime deadline = Now() + delay;
+  timers_.emplace(id, Timer{deadline, std::move(fn)});
+  schedule_.emplace(deadline, id);
   WakeLocked();  // the new deadline may be earlier than the one the loop sleeps toward
-  return id;
-}
-
-Endpoint::TimerId RtNode::SetPeriodicTimer(SimTime period, std::function<void()> fn) {
-  MutexLock lock(mu_);
-  TimerId id = ArmLocked(period, period, std::move(fn));
-  WakeLocked();
   return id;
 }
 
@@ -180,19 +168,6 @@ void RtNode::CancelTimer(TimerId id) {
   }
   schedule_.erase({it->second.deadline, id});
   timers_.erase(it);
-}
-
-bool RtNode::ResetTimer(TimerId id, SimTime delay) {
-  MutexLock lock(mu_);
-  auto it = timers_.find(id);
-  if (it == timers_.end()) {
-    return false;
-  }
-  schedule_.erase({it->second.deadline, id});
-  it->second.deadline = Now() + delay;
-  schedule_.emplace(it->second.deadline, id);
-  WakeLocked();
-  return true;
 }
 
 void RtNode::CancelAllTimers() {
@@ -210,11 +185,6 @@ void RtNode::Detach() {
 void RtNode::Reattach() {
   MutexLock lock(mu_);
   attached_ = true;
-}
-
-bool RtNode::attached() const {
-  MutexLock lock(mu_);
-  return attached_;
 }
 
 void RtNode::Loop() {
@@ -236,34 +206,18 @@ void RtNode::Loop() {
     }
     // 1. Due timers run before messages: a peer flooding the mailbox must not be able to
     // starve the view-change and retry timers — those exist precisely for such peers. The
-    // entry is taken off the schedule before the callback runs so the handler can freely
-    // set, reset, or cancel timers — including its own id; a periodic timer re-arms *after*
-    // its handler returns (deadline measured then), so even a handler slower than its period
-    // yields to messages between firings rather than livelocking the loop.
+    // entry is taken off the schedule before the callback runs so the handler can freely set
+    // or cancel timers, and re-arm itself.
     if (!schedule_.empty() && schedule_.begin()->first <= Now()) {
-      TimerId id = schedule_.begin()->second;
+      auto it = timers_.find(schedule_.begin()->second);
       schedule_.erase(schedule_.begin());
-      auto it = timers_.find(id);
-      std::function<void()> fn = it->second.fn;
-      SimTime period = it->second.period;
-      if (period == 0) {
-        timers_.erase(it);
-      } else {
-        it->second.deadline = kFiring;  // firing: off the schedule until the handler returns
-      }
+      std::function<void()> fn = std::move(it->second.fn);
+      timers_.erase(it);
       lock.Unlock();
       cpu_.BeginEvent(Now());
       fn();
       cpu_.EndEvent();
       lock.Lock();
-      if (period != 0) {
-        // Re-arm unless the handler cancelled the timer or reset it to a new deadline.
-        auto again = timers_.find(id);
-        if (again != timers_.end() && again->second.deadline == kFiring) {
-          again->second.deadline = Now() + period;
-          schedule_.emplace(again->second.deadline, id);
-        }
-      }
       continue;
     }
     // 2. Posted tasks (harness work such as Client::Invoke) run before messages: posts are

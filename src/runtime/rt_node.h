@@ -54,34 +54,25 @@ class RtNode final : public Endpoint, public MessageSink {
   void Send(NodeId dst, MsgBuffer msg) override;
   void Multicast(const std::vector<NodeId>& dsts, const MsgBuffer& msg) override;
   TimerId SetTimer(SimTime delay, std::function<void()> fn) override;
-  TimerId SetPeriodicTimer(SimTime period, std::function<void()> fn) override;
   void CancelTimer(TimerId id) override;
-  bool ResetTimer(TimerId id, SimTime delay) override;
   void CancelAllTimers() override;
   // Unregisters from the transport and joins the loop thread: after Close() no callback
   // runs, so the owning automaton's state may be destroyed.
   void Close() override;
   void Detach() override;
   void Reattach() override;
-  bool attached() const override;
 
  private:
   // Mailbox cap: a real socket buffer drops under overload; so do we, instead of growing
   // without bound when a peer sends faster than handlers drain.
   static constexpr size_t kMaxInbox = 4096;
 
-  // Deadline sentinel for a periodic timer whose handler is currently running (it is not on
-  // the schedule; re-armed when the handler returns unless cancelled or reset meanwhile).
-  static constexpr SimTime kFiring = ~SimTime{0};
-
   struct Timer {
     SimTime deadline = 0;
-    SimTime period = 0;  // 0 = one-shot
     std::function<void()> fn;
   };
 
   void Loop();
-  TimerId ArmLocked(SimTime delay, SimTime period, std::function<void()> fn) BFT_REQUIRES(mu_);
   // True for exactly one caller per park: the one that must ring the doorbell. Later
   // producers see rung_ and skip the syscall, since one eventfd write wakes the loop for all.
   bool ClaimRingLocked() BFT_REQUIRES(mu_);

@@ -86,7 +86,7 @@ void RebalanceController::Start() {
     return;
   }
   running_ = true;
-  timer_ = endpoint_->SetPeriodicTimer(options_.interval, [this]() { Tick(); });
+  timer_ = endpoint_->SetTimer(options_.interval, [this]() { Tick(); });
 }
 
 void RebalanceController::Stop() {
@@ -98,6 +98,9 @@ void RebalanceController::Stop() {
 }
 
 void RebalanceController::Tick() {
+  // Re-arm first: the next round is scheduled ahead of every event this round schedules, so
+  // rounds stay one interval apart whatever this one does.
+  timer_ = endpoint_->SetTimer(options_.interval, [this]() { Tick(); });
   ++stats_.rounds;
   rounds_metric_->Inc();
   if (coordinator_.active()) {

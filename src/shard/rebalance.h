@@ -10,14 +10,14 @@
 //                         policy is unit-testable in isolation and every planning decision
 //                         is replayable from its inputs.
 //
-//   RebalanceController — the event-driven daemon. A periodic timer on the Endpoint seam
-//                         snapshots the stats registry (one epoch per planning round),
-//                         asks the planner for a plan, and executes it through the
-//                         migration coordinator's batch entry point under the reserved
-//                         admin identity. At most one batch is in flight; rounds that
-//                         would overlap a running batch are skipped, and a per-batch
-//                         deadline stops a dead destination group from wedging the
-//                         key space behind a permanent freeze.
+//   RebalanceController — the event-driven daemon. A timer on the Endpoint seam, re-armed
+//                         every round, snapshots the stats registry (one epoch per
+//                         planning round), asks the planner for a plan, and executes it
+//                         through the migration coordinator's batch entry point under
+//                         the reserved admin identity. At most one batch is in flight;
+//                         rounds that would overlap a running batch are skipped, and a
+//                         per-batch deadline stops a dead destination group from wedging
+//                         the key space behind a permanent freeze.
 //
 // Policy (greedy, threshold-gated): find the most- and least-loaded groups under the
 // current map; if the hottest group's load exceeds `imbalance_threshold` times the mean,
@@ -89,7 +89,7 @@ class RebalanceController {
   RebalanceController(const RebalanceController&) = delete;
   RebalanceController& operator=(const RebalanceController&) = delete;
 
-  // Arms / disarms the periodic planning timer. Start is idempotent.
+  // Arms / disarms the planning timer, which re-arms itself every round. Start is idempotent.
   void Start();
   void Stop();
 

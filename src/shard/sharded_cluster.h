@@ -1,30 +1,27 @@
 // Harness for S independent PBFT replica groups on one simulated network.
 //
-// Generalizes workload/Cluster: each shard is a full 3f+1 replica group with its own
-// ReplicaConfig (disjoint node-id range via ReplicaConfig::base_id), its own key directory,
-// and its own replica set; all groups share one Simulator and one Network, so cross-shard
-// timing, faults, and partitions compose naturally. Clients are ShardedClients that route
-// each keyed operation to its owning group.
+// Generalizes workload/Cluster: each shard is a ReplicaGroup (src/workload/replica_group.h)
+// with its own ReplicaConfig (disjoint node-id range via ReplicaConfig::base_id), its own key
+// directory and its own replica set; all groups share one Simulator and one Network, so
+// cross-shard timing, faults, and partitions compose naturally. Clients are ShardedClients
+// that route each keyed operation to its owning group.
 //
-// With num_shards = 1 the construction is bit-for-bit identical to workload/Cluster for the
-// same seed: same node ids, same per-node seeds, same event order (tests/shard_test.cc pins
-// this down).
+// Every group is wired by the same ReplicaGroup code as Cluster's, so with num_shards = 1 the
+// construction is bit-for-bit identical to workload/Cluster for the same seed: same node ids,
+// same per-node seeds, same event order (tests/shard_test.cc pins this down).
 #ifndef SRC_SHARD_SHARDED_CLUSTER_H_
 #define SRC_SHARD_SHARDED_CLUSTER_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/core/client.h"
-#include "src/core/replica.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/shard/bucket_stats.h"
 #include "src/shard/shard_map.h"
 #include "src/shard/sharded_client.h"
-#include "src/sim/network.h"
+#include "src/workload/cluster.h"
 
 namespace bft {
 
@@ -42,7 +39,6 @@ struct ShardedClusterOptions {
 class ShardedCluster {
  public:
   ShardedCluster(ShardedClusterOptions options, ShardServiceFactory factory);
-  ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
@@ -61,8 +57,8 @@ class ShardedCluster {
   // product the clients' key extractor uses; never Initialize()d).
   Service* op_builder() { return router_service_.get(); }
 
-  const ReplicaConfig& config(size_t shard) const { return configs_[shard]; }
-  Replica* replica(size_t shard, int i) { return replicas_[shard][static_cast<size_t>(i)].get(); }
+  const ReplicaConfig& config(size_t shard) const { return groups_[shard].config(); }
+  Replica* replica(size_t shard, int i) { return groups_[shard].replica(i); }
   int replicas_per_shard() const { return options_.config.n; }
 
   // A router client with one endpoint in every group. Ops route by Service::KeyOf.
@@ -87,23 +83,25 @@ class ShardedCluster {
   // Synchronously executes one operation through `client` (runs the simulator until the
   // owning group's reply certificate completes or `timeout` of simulated time passes).
   std::optional<Bytes> Execute(ShardedClient* client, Bytes op, bool read_only = false,
-                               SimTime timeout = 30 * kSecond);
+                               SimTime timeout = 30 * kSecond) {
+    return ExecuteOnSim(sim_, client, std::move(op), read_only, timeout);
+  }
 
   // Runs the simulator until every live replica of `shard` has executed up to `seq`.
-  bool WaitForExecution(size_t shard, SeqNo seq, SimTime timeout = 30 * kSecond);
+  bool WaitForExecution(size_t shard, SeqNo seq, SimTime timeout = 30 * kSecond) {
+    return sim_.RunUntilCondition(
+        [this, shard, seq]() { return groups_[shard].ExecutedThrough(seq); }, sim_.Now() + timeout);
+  }
 
-  // Node id of shard's current primary according to its first live replica (crashed replicas
-  // are frozen in their pre-crash view).
-  NodeId CurrentPrimary(size_t shard);
+  // Node id of shard's current primary according to its first live replica.
+  NodeId CurrentPrimary(size_t shard) const { return groups_[shard].CurrentPrimary(); }
 
   // Fail-stop crashes every replica of one group (shard-isolated fault injection).
   void CrashShard(size_t shard);
 
-  // Sum of requests executed across groups, counted at each group's first *live* replica
-  // (matching CurrentPrimary's convention — a crashed replica's counters are frozen at its
-  // crash point and would undercount). A fully crashed group contributes replica 0's frozen
-  // count.
-  uint64_t TotalRequestsExecuted();
+  // Sum of requests executed across groups, each counted at its first live replica (see
+  // ReplicaGroup::FirstLive). A fully crashed group contributes replica 0's frozen count.
+  uint64_t TotalRequestsExecuted() const;
 
   // Harness-owned observability across every group (see workload/Cluster).
   MetricsRegistry& metrics() { return metrics_; }
@@ -114,12 +112,8 @@ class ShardedCluster {
   // each own their own), so the cluster cannot see it.
   HealthSnapshot Health(uint64_t active_migrations = 0) const {
     HealthSnapshot snapshot;
-    for (const auto& group : replicas_) {
-      for (const auto& r : group) {
-        ReplicaHealth h = r->Health();
-        h.running = !r->crashed();
-        snapshot.replicas.push_back(h);
-      }
+    for (const ReplicaGroup& group : groups_) {
+      group.AppendHealth(&snapshot);
     }
     snapshot.active_migrations = active_migrations;
     snapshot.frozen_buckets = registry_.FrozenCount();
@@ -137,11 +131,9 @@ class ShardedCluster {
   ShardMapRegistry registry_;
   Simulator sim_;
   Network net_;
-  std::vector<ReplicaConfig> configs_;                       // one per shard, stable storage
-  std::vector<std::unique_ptr<PublicKeyDirectory>> directories_;
-  std::vector<std::vector<std::unique_ptr<Replica>>> replicas_;
+  std::deque<ReplicaGroup> groups_;  // one per shard; a deque never moves its elements
   std::vector<std::unique_ptr<ShardedClient>> clients_;
-  std::unique_ptr<Service> router_service_;                  // key extraction only, never Initialized
+  std::unique_ptr<Service> router_service_;  // key extraction only, never Initialized
   BucketStatsRegistry bucket_stats_;
   NodeId next_client_id_ = kClientIdBase;
   NodeId next_admin_id_ = kAdminIdBase;

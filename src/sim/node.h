@@ -58,11 +58,9 @@ class Node : public Endpoint, public NetPeer {
   }
 
   TimerId SetTimer(SimTime delay, std::function<void()> fn) override {
-    return Arm(delay, /*period=*/0, std::move(fn));
-  }
-
-  TimerId SetPeriodicTimer(SimTime period, std::function<void()> fn) override {
-    return Arm(period, period, std::move(fn));
+    TimerId id = next_timer_++;
+    timers_.emplace(id, Timer{Schedule(id, delay), std::move(fn)});
+    return id;
   }
 
   void CancelTimer(TimerId id) override {
@@ -72,16 +70,6 @@ class Node : public Endpoint, public NetPeer {
     }
     sim_->Cancel(it->second.event);
     timers_.erase(it);
-  }
-
-  bool ResetTimer(TimerId id, SimTime delay) override {
-    auto it = timers_.find(id);
-    if (it == timers_.end()) {
-      return false;
-    }
-    sim_->Cancel(it->second.event);
-    it->second.event = Schedule(id, delay);
-    return true;
   }
 
   void CancelAllTimers() override {
@@ -104,21 +92,12 @@ class Node : public Endpoint, public NetPeer {
       attached_ = true;
     }
   }
-  bool attached() const override { return attached_; }
 
  private:
   struct Timer {
     Simulator::EventId event = 0;
-    SimTime period = 0;  // 0 = one-shot
     std::function<void()> fn;
   };
-
-  TimerId Arm(SimTime delay, SimTime period, std::function<void()> fn) {
-    TimerId id = next_timer_++;
-    timers_.emplace(id, Timer{0, period, std::move(fn)});
-    timers_[id].event = Schedule(id, delay);
-    return id;
-  }
 
   // Schedules the simulator event for timer `id`. Handlers run under CPU accounting exactly
   // like message deliveries.
@@ -128,14 +107,10 @@ class Node : public Endpoint, public NetPeer {
       if (it == timers_.end()) {
         return;  // cancelled between scheduling and firing (defensive; Cancel removes events)
       }
-      // Copy the callback out: a one-shot entry is erased before running so the handler can
-      // re-arm freely; a periodic entry re-schedules itself first for the same reason.
-      std::function<void()> fn = it->second.fn;
-      if (it->second.period == 0) {
-        timers_.erase(it);
-      } else {
-        it->second.event = Schedule(id, it->second.period);
-      }
+      // Move the callback out: the entry is erased before running so the handler can
+      // re-arm freely.
+      std::function<void()> fn = std::move(it->second.fn);
+      timers_.erase(it);
       cpu_.BeginEvent(sim_->Now());
       fn();
       cpu_.EndEvent();

@@ -1,47 +1,23 @@
 #include "src/workload/cluster.h"
 
 #include "src/sim/node.h"
-#include "src/sim/sim_harness.h"
 
 namespace bft {
 
 Cluster::Cluster(ClusterOptions options, ServiceFactory factory)
-    : options_(options), sim_(options.seed), net_(&sim_, options.model.net) {
+    : options_(options),
+      sim_(options.seed),
+      net_(&sim_, options.model.net),
+      group_(options.config, &options_.model, options.seed, std::move(factory),
+             [this](NodeId id) { return std::make_unique<Node>(&sim_, &net_, id); }, &metrics_,
+             &tracer_) {
   tracer_.InstallMetrics(&metrics_);
-  for (int i = 0; i < options_.config.n; ++i) {
-    NodeId id = static_cast<NodeId>(i);
-    replicas_.push_back(std::make_unique<Replica>(
-        std::make_unique<Node>(&sim_, &net_, id), &options_.config, &options_.model,
-        &directory_, factory(id), options_.seed + static_cast<uint64_t>(i)));
-  }
-  for (auto& replica : replicas_) {
-    replica->InstallObservability(&metrics_, &tracer_);
-    replica->Start();
-  }
+  group_.Start();
 }
-
-Cluster::~Cluster() = default;
 
 Client* Cluster::AddClient() {
-  NodeId id = next_client_id_++;
-  clients_.push_back(std::make_unique<Client>(std::make_unique<Node>(&sim_, &net_, id),
-                                              &options_.config, &options_.model, &directory_,
-                                              options_.seed ^ (id * 0x2545f4914f6cdd1dULL)));
-  clients_.back()->InstallObservability(&metrics_, &tracer_);
+  clients_.push_back(group_.MakeClient(next_client_id_++));
   return clients_.back().get();
-}
-
-std::optional<Bytes> Cluster::Execute(Client* client, Bytes op, bool read_only,
-                                      SimTime timeout) {
-  return sim_harness::Execute(sim_, client, std::move(op), read_only, timeout);
-}
-
-bool Cluster::WaitForExecution(SeqNo seq, SimTime timeout) {
-  return sim_harness::WaitForExecution(sim_, replicas_, seq, timeout);
-}
-
-NodeId Cluster::CurrentPrimary() {
-  return sim_harness::CurrentPrimary(options_.config, replicas_);
 }
 
 }  // namespace bft

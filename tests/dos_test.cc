@@ -1,9 +1,36 @@
 // Denial-of-service defenses (thesis Section 5.5): replay caches, request scheduling
-// fairness, and bounded per-sequence-number log state.
+// fairness, bounded per-sequence-number log state, and bounded unauthenticated view-change
+// state.
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "src/service/counter_service.h"
 #include "src/workload/cluster.h"
+
+namespace {
+// Bytes currently held through operator new: what the process retains, allocations minus
+// frees.
+std::atomic<int64_t> g_live_bytes{0};
+}  // namespace
+
+void* operator new(size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
+  return p;
+}
+// Out of line: inlined into a new-expression, GCC flags the malloc/free pair as mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { operator delete(p); }
 
 namespace bft {
 namespace {
@@ -147,6 +174,51 @@ TEST(DosTest, GarbageFloodDoesNotCrashOrStall) {
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(CounterService::DecodeValue(*result), i);
   }
+}
+
+TEST(DosTest, ForgedViewChangesRetainBoundedState) {
+  // Anyone who can send a datagram can forge a VIEW-CHANGE: a bad MAC costs nothing to make.
+  // A replica keeps unverified view-changes (f+1 acks may still vouch for one), so forgeries
+  // naming a new view each must not each be kept: at most one per sender survives.
+  Cluster cluster(Options(85), CounterFactory());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+
+  Replica* target = cluster.replica(0);
+  int64_t live_before = g_live_bytes.load();
+  size_t wire_size = 0;
+  for (View v = 1; v <= 2000; ++v) {
+    ViewChangeMsg vc;
+    vc.view = v;
+    vc.replica = 2;
+    for (SeqNo seq = 1; seq <= 32; ++seq) {
+      vc.p.push_back({seq, Digest{}, 0});  // prepared in view 0 < v: passes the P-set check
+    }
+    vc.auth = Bytes(32, 0x5a);  // not a valid authenticator
+    Bytes wire = EncodeTyped(vc);
+    wire_size = wire.size();
+    target->OnMessage(MsgBuffer(std::move(wire)));
+  }
+  int64_t retained = g_live_bytes.load() - live_before;
+  ASSERT_GE(wire_size, 1000u);
+  EXPECT_LT(retained, 64 * 1024) << "forged view-changes retained " << retained << " bytes";
+
+  // The group still commits, and replica 0 completes a real view change: with its sends
+  // muted the backups replace it as primary, and it follows them into the new view.
+  target->SetMute(true);
+  std::optional<Bytes> result =
+      cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(CounterService::DecodeValue(*result), 2u);
+  target->SetMute(false);
+  for (uint64_t i = 3; i <= 5; ++i) {
+    result = cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(CounterService::DecodeValue(*result), i);
+  }
+  EXPECT_TRUE(cluster.WaitForExecution(cluster.replica(1)->last_executed()));
+  EXPECT_GE(target->view(), 1u);
+  EXPECT_TRUE(target->Health().view_active);
 }
 
 }  // namespace

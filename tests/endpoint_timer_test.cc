@@ -1,9 +1,9 @@
 // Endpoint timer semantics, shared across both runtime implementations.
 //
-// The same contract — cancel before fire, reset while pending, periodic stop, handler
-// re-arming — is exercised against the simulator-backed Node and the real-clock RtNode via
-// a typed fixture. Real-clock assertions only ever bound from below (a timer must not fire
-// before its deadline) or wait with generous deadlines, so slow CI machines cannot flake.
+// The same contract — one-shot firing, cancel before fire, handler re-arming, cancel-all —
+// is exercised against the simulator-backed Node and the real-clock RtNode via a typed
+// fixture. Real-clock assertions only ever bound from below (a timer must not fire before
+// its deadline) or wait with generous deadlines, so slow CI machines cannot flake.
 //
 // The last two tests race the in-process delivery path from many threads: sends against
 // Register/Unregister, and concurrent enqueues against a loop that parks between bursts.
@@ -97,48 +97,6 @@ TYPED_TEST(EndpointTimerTest, CancelUnknownIdIsNoop) {
   this->driver_.ep().CancelTimer(999'999);
 }
 
-TYPED_TEST(EndpointTimerTest, ResetWhilePendingMovesDeadline) {
-  Endpoint& ep = this->driver_.ep();
-  std::atomic<int> fired{0};
-  std::atomic<SimTime> fired_at{0};
-  // Armed far beyond the driver's RunUntil horizon: the timer can only fire because the
-  // reset moved its deadline, and the original deadline cannot sneak in first no matter how
-  // long the harness thread is preempted (lower-bound assertions only — flake-proof).
-  Endpoint::TimerId id = ep.SetTimer(600 * kSecond, [&ep, &fired, &fired_at]() {
-    fired_at.store(ep.Now());
-    ++fired;
-  });
-  SimTime reset_at = ep.Now();
-  EXPECT_TRUE(ep.ResetTimer(id, 100 * kMillisecond));
-  EXPECT_TRUE(this->driver_.RunUntil([&fired]() { return fired.load() == 1; }));
-  EXPECT_GE(fired_at.load() - reset_at, 100 * kMillisecond);
-  // A fired one-shot is gone: reset now fails and nothing refires.
-  EXPECT_FALSE(ep.ResetTimer(id, 10 * kMillisecond));
-  this->driver_.RunFor(50 * kMillisecond);
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TYPED_TEST(EndpointTimerTest, ResetCancelledTimerFails) {
-  Endpoint& ep = this->driver_.ep();
-  Endpoint::TimerId id = ep.SetTimer(100 * kMillisecond, []() {});
-  ep.CancelTimer(id);
-  EXPECT_FALSE(ep.ResetTimer(id, 10 * kMillisecond));
-}
-
-TYPED_TEST(EndpointTimerTest, PeriodicFiresRepeatedlyUntilCancelled) {
-  Endpoint& ep = this->driver_.ep();
-  std::atomic<int> fired{0};
-  Endpoint::TimerId id = ep.SetPeriodicTimer(5 * kMillisecond, [&fired]() { ++fired; });
-  EXPECT_TRUE(this->driver_.RunUntil([&fired]() { return fired.load() >= 3; }));
-  ep.CancelTimer(id);
-  // One firing may already be in flight at cancel time; settle generously, then demand
-  // quiescence.
-  this->driver_.RunFor(500 * kMillisecond);
-  int settled = fired.load();
-  this->driver_.RunFor(500 * kMillisecond);
-  EXPECT_EQ(fired.load(), settled);
-}
-
 TYPED_TEST(EndpointTimerTest, HandlerCanRearmItself) {
   Endpoint& ep = this->driver_.ep();
   std::atomic<int> fired{0};
@@ -159,7 +117,7 @@ TYPED_TEST(EndpointTimerTest, CancelAllTimersSuppressesEverything) {
   Endpoint& ep = this->driver_.ep();
   std::atomic<int> fired{0};
   ep.SetTimer(2 * kSecond, [&fired]() { ++fired; });
-  ep.SetPeriodicTimer(2 * kSecond, [&fired]() { ++fired; });
+  ep.SetTimer(2 * kSecond, [&fired]() { ++fired; });
   ep.CancelAllTimers();
   this->driver_.RunFor(2 * kSecond + 500 * kMillisecond);
   EXPECT_EQ(fired.load(), 0);

@@ -15,7 +15,6 @@
 #include "src/service/null_service.h"
 #include "src/shard/migration.h"
 #include "src/shard/sharded_cluster.h"
-#include "src/sim/sim_harness.h"
 #include "src/workload/closed_loop.h"
 
 namespace bft {
@@ -229,8 +228,8 @@ TEST(MigrationTest, StaleMapClientIsReroutedInsteadOfMisdirected) {
   // but this client has not observed any freeze).
   auto seal = cluster.op_builder()->SealBucketOp(bucket);
   ASSERT_TRUE(seal.has_value());
-  auto sealed = sim_harness::Execute(cluster.sim(), admin->endpoint(0), *seal,
-                                     /*read_only=*/false, 30 * kSecond);
+  auto sealed = ExecuteOnSim(cluster.sim(), admin->endpoint(0), *seal,
+                             /*read_only=*/false, 30 * kSecond);
   ASSERT_TRUE(sealed.has_value());
   ASSERT_EQ(ToString(*sealed), "ok");
 

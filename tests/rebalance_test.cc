@@ -14,7 +14,6 @@
 #include "src/shard/migration.h"
 #include "src/shard/rebalance.h"
 #include "src/shard/sharded_cluster.h"
-#include "src/sim/sim_harness.h"
 #include "src/workload/closed_loop.h"
 
 namespace bft {
@@ -605,8 +604,8 @@ TEST(BatchMoveTest, AcceptPurgesOrphanedImportsSoDeletedKeysStayDeleted) {
   // it was never at the owner; the orphan alone must not resurface.
   auto orphan = cluster.op_builder()->ImportEntryOp(keys[1], ToBytes("stale-ghost"));
   ASSERT_TRUE(orphan.has_value());
-  auto planted = sim_harness::Execute(cluster.sim(), admin->endpoint(1), *orphan,
-                                      /*read_only=*/false, 30 * kSecond);
+  auto planted = ExecuteOnSim(cluster.sim(), admin->endpoint(1), *orphan,
+                              /*read_only=*/false, 30 * kSecond);
   ASSERT_TRUE(planted.has_value());
   ASSERT_EQ(ToString(*planted), "ok");
 
