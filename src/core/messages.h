@@ -319,7 +319,7 @@ struct ViewChangeAckMsg {
   NodeId replica = 0;    // sender of the ack
   NodeId vc_sender = 0;  // replica whose view-change is being acknowledged
   Digest vc_digest;
-  InlineBytes auth;      // single MAC to the new primary
+  InlineBytes auth;      // full authenticator: acks are multicast to every replica
 
   static auto Fields(auto& m) { return std::tie(m.view, m.replica, m.vc_sender, m.vc_digest); }
   InlineBytes AuthContent() const { return FieldBytes(*this); }

@@ -36,6 +36,7 @@ Replica::Replica(std::unique_ptr<Endpoint> endpoint, const ReplicaConfig* config
       auth_(ep_->id(), config, model, directory, directory->Generate(ep_->id(), seed)),
       state_(config, model),
       rng_(seed ^ (ep_->id() * 0x9e3779b97f4a7c15ULL)),
+      vc_slots_(config->n, ViewChangeSlot(config->n)),
       vc_timeout_(config->view_change_timeout) {
   for (int i = 0; i < config_->n; ++i) {
     if (config_->ReplicaId(i) != id()) {
@@ -107,8 +108,7 @@ void Replica::TraceBatch(TracePhase phase, const Digest& d) {
 Replica::~Replica() { ep_->Close(); }
 
 void Replica::Start() {
-  status_timer_ = SetTimer(config_->status_interval + rng_.Below(kMillisecond),
-                           [this]() { OnStatusTimer(); });
+  SetTimer(config_->status_interval + rng_.Below(kMillisecond), [this]() { OnStatusTimer(); });
   if (config_->proactive_recovery) {
     // Stagger watchdogs so no more than f replicas recover at once (Section 4.3.3).
     SimTime index = static_cast<SimTime>(config_->ReplicaIndex(id()));
@@ -759,6 +759,18 @@ void Replica::Handle(CheckpointMsg m) {
   if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
     return;
   }
+  // Above the high water mark only each sender's highest checkpoint is kept: enough for
+  // TryStable to see a quorum move past our log (Section 5.3.2), in space bounded by n.
+  for (auto it = checkpoint_msgs_.upper_bound(low_ + config_->log_size);
+       it != checkpoint_msgs_.end();) {
+    if (it->first > m.seq && it->second.count(m.replica) != 0) {
+      return;
+    }
+    if (it->first < m.seq) {
+      it->second.erase(m.replica);
+    }
+    it = it->second.empty() ? checkpoint_msgs_.erase(it) : std::next(it);
+  }
   checkpoint_msgs_[m.seq][m.replica] = m;
   TryStable(m.seq);
 }
@@ -925,6 +937,7 @@ void Replica::StartViewChange(View new_view) {
   ComputePq(CollectLogObservations(view_), &pq_);
   view_ = new_view;
   view_active_ = false;
+  AdvanceViewChangeSlots();
   ++stats_.view_changes_started;
   obs_.view_changes->Inc();
   StopViewChangeTimer();
@@ -936,20 +949,10 @@ void Replica::StartViewChange(View new_view) {
 }
 
 void Replica::MaybeStartPendingTimer() {
-  if (view_active_ || vc_timer_running_ || crashed_) {
-    return;
+  if (!view_active_ &&
+      std::ranges::count_if(vc_slots_, &ViewChangeSlot::verified) >= config_->quorum()) {
+    StartViewChangeTimer();  // EnterView cancels it
   }
-  if (static_cast<int>(vc_msgs_[view_].size()) < config_->quorum()) {
-    return;
-  }
-  vc_timer_running_ = true;
-  vc_timer_ = SetTimer(vc_timeout_, [this]() {
-    vc_timer_running_ = false;
-    if (!view_active_) {
-      vc_timeout_ = std::min(vc_timeout_ * 2, config_->max_view_change_timeout);
-      StartViewChange(view_ + 1);
-    }
-  });
 }
 
 void Replica::SendViewChange() {
@@ -988,9 +991,30 @@ void Replica::SendViewChange() {
   }
   vc.replica = id();
   AuthAndMulticast(vc);
-  vc_msgs_[view_][id()] = vc;
-  vc_accepted_[view_][id()] = vc;  // own message is trivially acceptable
+  ViewChangeSlot& own = VcSlot(id());
+  own.digest = vc.MessageDigest();
+  own.vc = std::move(vc);
+  own.verified = own.accepted = true;  // own message is trivially acceptable
   PrimaryTryNewView();
+}
+
+void Replica::AdvanceViewChangeSlots() {
+  sent_new_view_.reset();
+  for (ViewChangeSlot& slot : vc_slots_) {
+    slot.vc.reset();
+    slot.verified = slot.accepted = false;
+    if (slot.ahead.has_value() && slot.ahead->view <= view_) {
+      if (slot.ahead->view == view_) {
+        slot.digest = slot.ahead->MessageDigest();
+        slot.vc = std::move(slot.ahead);
+        slot.verified = true;
+      }
+      slot.ahead.reset();
+    }
+  }
+  for (int i = 0; i < config_->n; ++i) {
+    CreditViewChangeAcks(config_->ReplicaId(i));
+  }
 }
 
 void Replica::Handle(ViewChangeMsg m) {
@@ -1012,107 +1036,96 @@ void Replica::Handle(ViewChangeMsg m) {
       }
     }
   }
-
-  if (!auth_ok) {
-    // Keep it: f+1 matching acks can still authenticate it (Section 3.2.4). Anyone can send
-    // one without a key, so keep only the latest per sender, and none below our view: a copy
-    // per view would let a forger grow this state without bound.
-    if (m.view >= view_) {
-      vc_unverified_[m.replica] = std::move(m);
-    }
+  if (m.view < view_) {
     return;
   }
 
-  View v = m.view;
   NodeId sender = m.replica;
-  vc_msgs_[v][sender] = std::move(m);
-
-  // Liveness rule: f+1 view-changes for higher views force us to join the smallest of them.
-  if (v > view_) {
-    std::map<View, int> higher;
-    for (const auto& [view, msgs] : vc_msgs_) {
-      if (view > view_) {
-        higher[view] += static_cast<int>(msgs.size());
+  ViewChangeSlot& slot = VcSlot(sender);
+  if (m.view > view_) {
+    // Kept for the join rule, and as the sender's message for that view if we get there.
+    if (!auth_ok || (slot.ahead.has_value() && slot.ahead->view >= m.view)) {
+      return;
+    }
+    View v = m.view;
+    slot.ahead = std::move(m);
+    // Liveness rule: f+1 replicas asking for higher views make us join the smallest of them.
+    int asking = 0;
+    View join = v;
+    for (const ViewChangeSlot& other : vc_slots_) {
+      if (other.ahead.has_value()) {
+        ++asking;
+        join = std::min(join, other.ahead->view);
       }
     }
-    int total = 0;
-    for (const auto& [view, count] : higher) {
-      total += count;
+    if (asking >= config_->weak()) {
+      StartViewChange(join);
     }
-    if (total >= config_->f() + 1) {
-      StartViewChange(higher.begin()->first);
+    if (view_ != v) {
+      return;
+    }
+  } else {
+    // The sender's first authentic message for the view stands, and an unverified copy never
+    // displaces a verified one: f+1 matching acks can still vouch for it (Section 3.2.4).
+    Digest d = m.MessageDigest();
+    if (slot.verified && (!auth_ok || slot.digest != d)) {
+      return;
+    }
+    slot.vc = std::move(m);
+    slot.digest = d;
+    slot.verified = auth_ok;
+    CreditViewChangeAcks(sender);
+    if (!slot.verified) {
+      return;
     }
   }
 
-  MaybeAckViewChange(vc_msgs_[v][sender]);
-  TryAcceptViewChange(v, sender);
+  MaybeAckViewChange(sender);
   MaybeStartPendingTimer();
   PrimaryTryNewView();
 }
 
-void Replica::MaybeAckViewChange(const ViewChangeMsg& m) {
-  if (m.view != view_ || view_active_) {
+void Replica::MaybeAckViewChange(NodeId sender) {
+  if (view_active_) {
     return;
   }
   ViewChangeAckMsg ack;
-  ack.view = m.view;
+  ack.view = view_;
   ack.replica = id();
-  ack.vc_sender = m.replica;
-  ack.vc_digest = m.MessageDigest();
+  ack.vc_sender = sender;
+  ack.vc_digest = VcSlot(sender).digest;
   // Acks are multicast (not just sent to the new primary) so every backup can authenticate
   // the view-change messages a new-view references by counting acks itself, rather than
   // taking the new primary's word for them.
-  vc_acks_[m.view][m.replica].insert(id());
   AuthAndMulticast(ack);
 }
 
 void Replica::Handle(ViewChangeAckMsg m) {
-  if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
+  if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth) ||
+      !config_->IsReplicaMember(m.vc_sender) || m.vc_sender == m.replica || m.view < view_) {
     return;
   }
-  // Only count acks that match the digest of the view-change we hold (or will hold).
-  auto vit = vc_msgs_[m.view].find(m.vc_sender);
-  if (vit != vc_msgs_[m.view].end() && vit->second.MessageDigest() != m.vc_digest) {
-    return;
+  // Each replica's latest ack per sender: it counts only for the message it names.
+  VcSlot(m.vc_sender).acks[config_->ReplicaIndex(m.replica)] = {m.view, m.vc_digest};
+  if (m.view == view_) {
+    CreditViewChangeAcks(m.vc_sender);
+    PrimaryTryNewView();
   }
-  auto uit = vc_unverified_.find(m.vc_sender);
-  if (uit != vc_unverified_.end() && uit->second.view == m.view &&
-      uit->second.MessageDigest() == m.vc_digest) {
-    // Promote an unverified view-change once f+1 distinct replicas vouch for it.
-    vc_acks_[m.view][m.vc_sender].insert(m.replica);
-    if (static_cast<int>(vc_acks_[m.view][m.vc_sender].size()) >= config_->f() + 1) {
-      vc_msgs_[m.view][m.vc_sender] = std::move(uit->second);
-      vc_unverified_.erase(uit);
-    }
-  } else {
-    vc_acks_[m.view][m.vc_sender].insert(m.replica);
-  }
-  TryAcceptViewChange(m.view, m.vc_sender);
-  PrimaryTryNewView();
 }
 
-void Replica::TryAcceptViewChange(View v, NodeId sender) {
-  if (vc_accepted_[v].count(sender) != 0) {
+void Replica::CreditViewChangeAcks(NodeId sender) {
+  ViewChangeSlot& slot = VcSlot(sender);
+  if (!slot.vc.has_value() || slot.accepted) {
     return;
   }
-  auto vit = vc_msgs_[v].find(sender);
-  if (vit == vc_msgs_[v].end()) {
-    return;
-  }
-  if (config_->PrimaryOf(v) == id()) {
-    // The new primary requires 2f-1 acks from replicas other than itself and the sender
-    // (together with its own and the sender's implicit vouchers: a quorum).
-    int acks = 0;
-    for (NodeId a : vc_acks_[v][sender]) {
-      if (a != id() && a != sender) {
-        ++acks;
-      }
-    }
-    if (acks < 2 * config_->f() - 1) {
-      return;
-    }
-  }
-  vc_accepted_[v][sender] = vit->second;
+  auto acks = std::ranges::count_if(slot.acks, [&](const ViewChangeAck& a) {
+    return a.view == view_ && a.d == slot.digest;
+  });
+  slot.verified = slot.verified || acks >= config_->weak();
+  // The new primary requires 2f-1 acks from replicas other than itself and the sender
+  // (together with its own and the sender's implicit vouchers: a quorum).
+  slot.accepted =
+      slot.verified && (config_->PrimaryOf(view_) != id() || acks >= 2 * config_->f() - 1);
 }
 
 void Replica::PrimaryTryNewView() {
@@ -1120,7 +1133,12 @@ void Replica::PrimaryTryNewView() {
   if (view_active_ || config_->PrimaryOf(v) != id() || crashed_ || mute_) {
     return;
   }
-  auto& s = vc_accepted_[v];
+  std::map<NodeId, ViewChangeMsg> s;
+  for (int i = 0; i < config_->n; ++i) {
+    if (vc_slots_[i].accepted) {
+      s.emplace(config_->ReplicaId(i), *vc_slots_[i].vc);
+    }
+  }
   if (static_cast<int>(s.size()) < config_->quorum()) {
     return;
   }
@@ -1166,7 +1184,7 @@ void Replica::PrimaryTryNewView() {
     }
   }
   AuthAndMulticast(nv);
-  sent_new_view_[v] = nv;
+  sent_new_view_ = nv;
   ProcessNewView(nv, s);
 }
 
@@ -1185,31 +1203,19 @@ void Replica::Handle(NewViewMsg m) {
     StartViewChange(m.view);
   }
 
-  // Collect the referenced view-change messages; wait (via status retransmission) if missing.
+  // Collect the referenced view-change messages: each named once, and held here as verified
+  // with the given digest. Anything else rejects the NEW-VIEW: a primary lying about our own
+  // message, or evidence still missing (status retransmission resends it, and the NEW-VIEW).
   std::map<NodeId, ViewChangeMsg> s;
   for (const auto& [sender, digest] : m.vc_set) {
-    if (sender == id()) {
-      auto it = vc_msgs_[m.view].find(id());
-      if (it == vc_msgs_[m.view].end() || it->second.MessageDigest() != digest) {
-        return;  // a primary lying about our own message: reject
-      }
-      s[sender] = it->second;
-      continue;
+    if (!config_->IsReplicaMember(sender) || s.count(sender) != 0) {
+      return;
     }
-    auto it = vc_msgs_[m.view].find(sender);
-    if (it != vc_msgs_[m.view].end() && it->second.MessageDigest() == digest) {
-      s[sender] = it->second;
-      continue;
+    const ViewChangeSlot& slot = VcSlot(sender);
+    if (!slot.verified || slot.digest != digest) {
+      return;
     }
-    auto uit = vc_unverified_.find(sender);
-    if (uit != vc_unverified_.end() && uit->second.view == m.view &&
-        uit->second.MessageDigest() == digest &&
-        static_cast<int>(vc_acks_[m.view][sender].size()) >= config_->f() + 1) {
-      s[sender] = uit->second;
-      continue;
-    }
-    pending_new_view_ = std::move(m);
-    return;  // missing evidence; status messages will trigger retransmission
+    s.emplace(sender, *slot.vc);
   }
   if (static_cast<int>(s.size()) < config_->quorum()) {
     return;
@@ -1232,7 +1238,6 @@ void Replica::Handle(NewViewMsg m) {
     return;
   }
 
-  pending_new_view_.reset();
   ProcessNewView(m, s);
 }
 
@@ -1294,7 +1299,7 @@ void Replica::ProcessNewView(const NewViewMsg& nv, const std::map<NodeId, ViewCh
   }
 
   InstallChosenBatches(nv);
-  EnterView(nv.view);
+  EnterView();
 }
 
 void Replica::InstallChosenBatches(const NewViewMsg& nv) {
@@ -1343,18 +1348,16 @@ void Replica::InstallChosenBatches(const NewViewMsg& nv) {
   }
 }
 
-void Replica::EnterView(View v) {
-  view_ = v;
+void Replica::EnterView() {
   view_active_ = true;
   ++stats_.new_views_entered;
   obs_.new_views->Inc();
-  obs_.view->Set(static_cast<int64_t>(v));
+  obs_.view->Set(static_cast<int64_t>(view_));
   vc_timeout_ = config_->view_change_timeout;  // progress: reset the backoff
   StopViewChangeTimer();
-  vc_timer_running_ = false;
 
   // Requeue known-but-unexecuted requests at a new primary.
-  if (config_->PrimaryOf(v) == id()) {
+  if (config_->PrimaryOf(view_) == id()) {
     request_queue_.clear();
     queued_timestamp_.clear();
     // Requests already in a logged, unexecuted batch: each hashed once, not once per
@@ -1378,12 +1381,6 @@ void Replica::EnterView(View v) {
       }
     }
   }
-
-  // Garbage-collect old view-change bookkeeping.
-  vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.lower_bound(v));
-  vc_accepted_.erase(vc_accepted_.begin(), vc_accepted_.lower_bound(v));
-  std::erase_if(vc_unverified_, [v](const auto& entry) { return entry.second.view < v; });
-  vc_acks_.erase(vc_acks_.begin(), vc_acks_.lower_bound(v));
 
   TryExecute();
   TrySendPrePrepare();
@@ -1421,8 +1418,7 @@ void Replica::Handle(BatchReplyMsg m) {
 void Replica::OnStatusTimer() {
   if (!crashed_) {
     SendStatus();
-    status_timer_ = SetTimer(config_->status_interval + rng_.Below(kMillisecond),
-                             [this]() { OnStatusTimer(); });
+    SetTimer(config_->status_interval + rng_.Below(kMillisecond), [this]() { OnStatusTimer(); });
   }
 }
 
@@ -1449,9 +1445,10 @@ void Replica::SendStatus() {
   }
   st.has_new_view = view_active_;
   st.vc_have_bits.assign((static_cast<size_t>(config_->n) + 7) / 8, 0);
-  for (const auto& [sender, vc] : vc_msgs_[view_]) {
-    size_t bit = static_cast<size_t>(config_->ReplicaIndex(sender));
-    st.vc_have_bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+  for (size_t bit = 0; bit < vc_slots_.size(); ++bit) {
+    if (vc_slots_[bit].verified) {
+      st.vc_have_bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+    }
   }
   st.replica = id();
   AuthAndMulticast(st);
@@ -1466,13 +1463,11 @@ void Replica::Handle(StatusMsg m) {
   if (m.view < view_) {
     // The peer is in an old view: retransmit our view-change for the current view, plus the
     // new-view if we are (or have heard from) its primary.
-    auto vit = vc_msgs_[view_].find(id());
-    if (vit != vc_msgs_[view_].end()) {
-      ResendOwn(peer, vit->second);
+    if (VcSlot(id()).vc.has_value()) {
+      ResendOwn(peer, *VcSlot(id()).vc);
     }
-    auto nit = sent_new_view_.find(view_);
-    if (nit != sent_new_view_.end()) {
-      ResendOwn(peer, nit->second);
+    if (sent_new_view_.has_value()) {
+      ResendOwn(peer, *sent_new_view_);
     }
     return;
   }
@@ -1483,21 +1478,21 @@ void Replica::Handle(StatusMsg m) {
   if (!m.view_active) {
     // Peer is waiting for view-change evidence for this view. Our own message is re-signed
     // with fresh keys; others' are forwarded verbatim (the ack mechanism authenticates them).
-    for (const auto& [sender, vc] : vc_msgs_[view_]) {
-      size_t bit = static_cast<size_t>(config_->ReplicaIndex(sender));
+    for (size_t bit = 0; bit < vc_slots_.size(); ++bit) {
+      const ViewChangeSlot& slot = vc_slots_[bit];
       size_t byte = bit / 8;
-      if (byte < m.vc_have_bits.size() && (m.vc_have_bits[byte] >> (bit % 8)) & 1) {
+      if (!slot.verified ||
+          (byte < m.vc_have_bits.size() && (m.vc_have_bits[byte] >> (bit % 8)) & 1)) {
         continue;
       }
-      if (sender == id()) {
-        ResendOwn(peer, vc);
+      if (slot.vc->replica == id()) {
+        ResendOwn(peer, *slot.vc);
       } else {
-        SendTo(peer, EncodeTyped(vc));
+        SendTo(peer, EncodeTyped(*slot.vc));
       }
     }
-    auto nit = sent_new_view_.find(view_);
-    if (nit != sent_new_view_.end() && !m.has_new_view) {
-      ResendOwn(peer, nit->second);
+    if (sent_new_view_.has_value() && !m.has_new_view) {
+      ResendOwn(peer, *sent_new_view_);
     }
     return;
   }

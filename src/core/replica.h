@@ -40,7 +40,8 @@ class Replica {
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
-  // Starts periodic timers (status; watchdog if proactive recovery is on).
+  // Arms the status timer (and, with proactive recovery, the watchdog and key refresh); each
+  // is one-shot and re-arms itself when it fires.
   void Start();
 
   void OnMessage(MsgBuffer message);
@@ -98,10 +99,9 @@ class Replica {
   // before Start() — to collect their replicas into a registry they own and export.
   void InstallObservability(MetricsRegistry* registry, RequestTracer* tracer);
 
-  // --- Fault injection (tests / examples) -----------------------------------------------------
+  // --- Fault injection (tests) ----------------------------------------------------------------
   // Stops processing and sending entirely (fail-stop crash).
   void Crash();
-  // Crash + drop volatile protocol state, keeping only the service state (used with recovery).
   bool crashed() const { return crashed_; }
   // When set, the replica stays silent (receives but never sends) — a "mute" Byzantine fault.
   void SetMute(bool mute) { mute_ = mute; }
@@ -204,16 +204,39 @@ class Replica {
   void ExecuteReadOnly(const RequestMsg& req);
 
   // --- View changes --------------------------------------------------------------------------------
+  // One replica's latest VIEW-CHANGE-ACK for some sender: the view and message digest it names.
+  struct ViewChangeAck {
+    View view = 0;
+    Digest d;
+  };
+  // The view-change evidence from one replica (Sections 3.2.4-3.2.5), at its ReplicaIndex in
+  // vc_slots_. Two messages and n acks at most, whatever the peers send.
+  struct ViewChangeSlot {
+    explicit ViewChangeSlot(int n) : acks(n) {}
+    std::optional<ViewChangeMsg> vc;  // the sender's VIEW-CHANGE for view_
+    Digest digest;                    // vc->MessageDigest()
+    bool verified = false;  // its authenticator checked, or f+1 acks name (view_, digest)
+    bool accepted = false;  // in the S set: verified, and at the new primary 2f-1 acks name it
+    std::optional<ViewChangeMsg> ahead;  // its highest authentic VIEW-CHANGE above view_
+    std::vector<ViewChangeAck> acks;     // by acker's ReplicaIndex: its latest ack for this sender
+  };
+  ViewChangeSlot& VcSlot(NodeId replica) { return vc_slots_[config_->ReplicaIndex(replica)]; }
+  // Moves the slots to a new view_: a sender's `ahead` message for it becomes its current one,
+  // everything naming an older view stops counting, and the NEW-VIEW we sent is dropped.
+  void AdvanceViewChangeSlots();
   void StartViewChange(View new_view);
   void SendViewChange();
   std::vector<SeqObservation> CollectLogObservations(View leaving_view) const;
-  void MaybeAckViewChange(const ViewChangeMsg& m);
-  void TryAcceptViewChange(View v, NodeId sender);
+  void MaybeAckViewChange(NodeId sender);
+  // Promotes the sender's held VIEW-CHANGE once f+1 acks (from replicas other than the
+  // sender) name it, and puts a verified one in the S set (at the new primary, once 2f-1 do).
+  void CreditViewChangeAcks(NodeId sender);
   void PrimaryTryNewView();
   void ProcessNewView(const NewViewMsg& nv, const std::map<NodeId, ViewChangeMsg>& s);
   bool HavePayload(const Digest& d) const;
   void InstallChosenBatches(const NewViewMsg& nv);
-  void EnterView(View v);
+  // Activates view_ once its NEW-VIEW is processed.
+  void EnterView();
   void StartViewChangeTimer();
   void StopViewChangeTimer();
   void OnViewChangeTimeout();
@@ -351,18 +374,14 @@ class Replica {
   // Exactly-once semantics: last reply sent to each client.
   std::map<NodeId, ReplyMsg> last_reply_;
 
-  // Checkpoint certificates.
+  // Checkpoint certificates up to the high water mark; above it, each sender's highest only.
   std::map<SeqNo, std::map<NodeId, CheckpointMsg>> checkpoint_msgs_;
   std::map<SeqNo, Digest> pending_checkpoint_digest_;  // our own digests awaiting commit
 
   // View-change state.
   PqState pq_;
-  std::map<View, std::map<NodeId, ViewChangeMsg>> vc_msgs_;           // verified VCs per view
-  std::map<View, std::map<NodeId, std::set<NodeId>>> vc_acks_;        // acks per vc sender
-  std::map<NodeId, ViewChangeMsg> vc_unverified_;  // awaiting acks: latest per sender
-  std::map<View, std::map<NodeId, ViewChangeMsg>> vc_accepted_;       // S sets (acked)
-  std::optional<NewViewMsg> pending_new_view_;
-  std::map<View, NewViewMsg> sent_new_view_;   // primary: new-view we sent, for retransmission
+  std::vector<ViewChangeSlot> vc_slots_;     // one per replica, by ReplicaIndex
+  std::optional<NewViewMsg> sent_new_view_;  // primary: view_'s NEW-VIEW, for retransmission
   Endpoint::TimerId vc_timer_ = 0;
   bool vc_timer_running_ = false;
   SimTime vc_timeout_;
@@ -374,7 +393,6 @@ class Replica {
   SeqNo transfer_target_ = 0;
   Digest transfer_full_digest_;
   Bytes transfer_extra_;
-  Digest transfer_root_digest_;
   bool transfer_have_root_ = false;
   bool transfer_checking_ = false;  // recovery state check: compare instead of blind fetch
   bool state_check_pending_ = false;
@@ -389,7 +407,6 @@ class Replica {
   std::optional<PendingPart> transfer_inflight_;
   uint64_t transfer_nonce_ = 0;
   Endpoint::TimerId transfer_timer_ = 0;
-  SimTime transfer_started_at_ = 0;
 
   // Latest stable checkpoint observed elsewhere (candidate state-transfer target).
   SeqNo observed_stable_seq_ = 0;
@@ -411,7 +428,6 @@ class Replica {
 
   bool crashed_ = false;
   bool mute_ = false;
-  Endpoint::TimerId status_timer_ = 0;
 };
 
 template <typename M>

@@ -96,7 +96,6 @@ void Replica::MaybeStartStateTransfer(SeqNo target, const Digest& full_digest) {
   ++transfer_nonce_;
   ++stats_.state_transfers;
   obs_.state_transfers->Inc();
-  transfer_started_at_ = Now();
 
   FetchMsg fetch;
   fetch.level = kSummaryLevel;
@@ -195,7 +194,6 @@ void Replica::Handle(MetaDataMsg m) {
     }
     transfer_have_root_ = true;
     transfer_extra_ = m.extra;
-    transfer_root_digest_ = m.parts[0].d;
     transfer_queue_.clear();
     transfer_queue_.push_back(
         PendingPart{0, 0, m.parts[0].lm, m.parts[0].d});
@@ -533,6 +531,7 @@ void Replica::Handle(ReplyMsg m) {
       if (median > view_) {
         view_ = median;
         view_active_ = false;  // status messages will fetch the new-view evidence
+        AdvanceViewChangeSlots();
         SendViewChange();
       }
     }

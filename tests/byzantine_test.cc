@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/messages.h"
+#include "src/core/view_change.h"
 #include "src/service/counter_service.h"
 #include "src/workload/cluster.h"
 
@@ -277,6 +278,148 @@ TEST(ByzantineTest, EquivocatingReplicaContributesOnlyItsFirstPrepare) {
   auto [real_first_executed, real_first_dups] = RunEquivocatingPrepares(true);
   EXPECT_EQ(real_first_executed, 1u);
   EXPECT_EQ(real_first_dups, 1u);
+}
+
+// `m` with an authenticator made from replica `from`'s real keys, as it would multicast it: a
+// Byzantine replica is free to send any such message.
+template <typename M>
+MsgBuffer AuthenticFrom(Cluster& cluster, int from, M m) {
+  m.auth = cluster.replica(from)->auth().GenAuthMulticast(m.AuthContent(), nullptr);
+  return MsgBuffer(EncodeTyped(m));
+}
+
+// The VIEW-CHANGE for view `v` that replica `from` sends while its log is empty.
+ViewChangeMsg FreshViewChange(Cluster& cluster, int from, View v) {
+  ViewChangeMsg vc;
+  vc.view = v;
+  vc.checkpoints.emplace_back(0, cluster.replica(from)->state().CheckpointDigest(0));
+  vc.replica = cluster.replica(from)->id();
+  return vc;
+}
+
+// The NEW-VIEW for `view` whose decision follows from `s`, unauthenticated.
+NewViewMsg DecidedNewView(Cluster& cluster, View view, const std::map<NodeId, ViewChangeMsg>& s) {
+  ViewChangeDecision decision =
+      RunDecisionProcedure(cluster.config(), s, [](const Digest&) { return true; });
+  EXPECT_TRUE(decision.complete);
+  NewViewMsg nv;
+  nv.view = view;
+  for (const auto& [sender, vc] : s) {
+    nv.vc_set.emplace_back(sender, vc.MessageDigest());
+  }
+  nv.min_s = decision.min_s;
+  nv.chkpt_digest = decision.chkpt_digest;
+  nv.chosen = decision.chosen;
+  return nv;
+}
+
+TEST(ByzantineTest, OneReplicaCannotForceAViewChange) {
+  // f+1 VIEW-CHANGEs for higher views make a replica join the smallest of those views, but
+  // they must come from f+1 replicas: one replica asking for views 1 and 2 is still one.
+  Cluster cluster(SmallCluster(68), CounterFactory());
+  Replica* primary = cluster.replica(0);
+  for (View v = 1; v <= 2; ++v) {
+    primary->OnMessage(AuthenticFrom(cluster, 3, FreshViewChange(cluster, 3, v)));
+  }
+  EXPECT_EQ(primary->view(), 0u);
+  EXPECT_TRUE(primary->view_active());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+  EXPECT_EQ(primary->view(), 0u);
+}
+
+TEST(ByzantineTest, NewPrimaryCannotSubstituteAForgedViewChange) {
+  // Replica 2, cut off from the network, is in view 1 with replica 0's authentic VIEW-CHANGE
+  // (which reports a prepared request) and replica 3's ack for it. A forged "replica 0"
+  // VIEW-CHANGE without the prepared request follows, with a bad MAC. The ack names the
+  // authentic message's digest, so it cannot vouch for the forgery, and a NEW-VIEW from
+  // replica 1 that cites the forgery (and so drops the prepared request) must be refused.
+  Cluster cluster(SmallCluster(69), CounterFactory());
+  cluster.net().SetFilter([](NodeId src, NodeId dst, const Bytes&) {
+    return src == 2 || dst == 2 ? Network::FilterAction::kDrop : Network::FilterAction::kDeliver;
+  });
+  Replica* target = cluster.replica(2);
+  target->ForceViewChange();
+
+  ViewChangeMsg authentic = FreshViewChange(cluster, 0, 1);
+  authentic.p.push_back({1, ComputeDigest(ToBytes("a prepared batch")), 0});
+  target->OnMessage(AuthenticFrom(cluster, 0, authentic));
+  ViewChangeMsg from3 = FreshViewChange(cluster, 3, 1);
+  target->OnMessage(AuthenticFrom(cluster, 3, from3));
+  ViewChangeAckMsg ack;
+  ack.view = 1;
+  ack.replica = 3;
+  ack.vc_sender = 0;
+  ack.vc_digest = authentic.MessageDigest();
+  target->OnMessage(AuthenticFrom(cluster, 3, ack));
+
+  ViewChangeMsg forged = FreshViewChange(cluster, 0, 1);
+  forged.auth = Bytes(32, 0x5a);
+  target->OnMessage(MsgBuffer(EncodeTyped(forged)));
+
+  std::map<NodeId, ViewChangeMsg> s = {
+      {0, forged}, {2, FreshViewChange(cluster, 2, 1)}, {3, from3}};
+  target->OnMessage(AuthenticFrom(cluster, 1, DecidedNewView(cluster, 1, s)));
+  EXPECT_EQ(target->view(), 1u);
+  EXPECT_FALSE(target->view_active()) << "accepted a NEW-VIEW citing a forged VIEW-CHANGE";
+}
+
+// Replica 2, cut off from the network, moves to view 1 and receives authentic VIEW-CHANGEs
+// from replicas 0 and 3, then replica 1's NEW-VIEW for the evidence {0, 2, 3}, as `edit`
+// leaves it. Returns replica 2.
+Replica* DeliverNewView(Cluster& cluster, const std::function<void(NewViewMsg&)>& edit) {
+  cluster.net().SetFilter([](NodeId src, NodeId dst, const Bytes&) {
+    return src == 2 || dst == 2 ? Network::FilterAction::kDrop : Network::FilterAction::kDeliver;
+  });
+  Replica* target = cluster.replica(2);
+  target->ForceViewChange();
+  std::map<NodeId, ViewChangeMsg> s;
+  for (int r : {0, 2, 3}) {
+    s[r] = FreshViewChange(cluster, r, 1);
+    if (r != 2) {
+      target->OnMessage(AuthenticFrom(cluster, r, s[r]));
+    }
+  }
+  NewViewMsg nv = DecidedNewView(cluster, 1, s);
+  edit(nv);
+  target->OnMessage(AuthenticFrom(cluster, 1, nv));
+  return target;
+}
+
+TEST(ByzantineTest, NewViewEvidenceMustNameHeldMessagesOnce) {
+  // Control: the NEW-VIEW the evidence supports is accepted.
+  {
+    Cluster cluster(SmallCluster(70), CounterFactory());
+    Replica* target = DeliverNewView(cluster, [](NewViewMsg&) {});
+    EXPECT_EQ(target->view(), 1u);
+    EXPECT_TRUE(target->view_active());
+  }
+  const Digest bogus = ComputeDigest(ToBytes("another view-change"));
+  std::vector<std::pair<const char*, std::function<void(NewViewMsg&)>>> edits = {
+      {"names replica 3 twice",
+       [](NewViewMsg& nv) { nv.vc_set[1] = nv.vc_set[2]; }},
+      {"names a non-replica id",
+       [&](NewViewMsg& nv) { nv.vc_set.emplace_back(kClientIdBase + 1, bogus); }},
+      {"gives the receiver's own VIEW-CHANGE another digest",
+       [&](NewViewMsg& nv) { nv.vc_set[1].second = bogus; }},
+  };
+  for (const auto& [what, edit] : edits) {
+    Cluster cluster(SmallCluster(70), CounterFactory());
+    Replica* target = DeliverNewView(cluster, edit);
+    EXPECT_EQ(target->view(), 1u) << what;
+    EXPECT_FALSE(target->view_active()) << "accepted a NEW-VIEW that " << what;
+  }
+}
+
+TEST(ByzantineTest, NewViewWithUnfoundedDecisionMovesToNextView) {
+  // A NEW-VIEW whose decision does not follow from its evidence proves its primary faulty:
+  // the receiver moves on to view 2 rather than wait for view 1's timer.
+  Cluster cluster(SmallCluster(71), CounterFactory());
+  Replica* target = DeliverNewView(cluster, [](NewViewMsg& nv) {
+    nv.chosen.emplace_back(nv.min_s + 1, ComputeDigest(ToBytes("a batch nobody prepared")));
+  });
+  EXPECT_EQ(target->view(), 2u);
+  EXPECT_FALSE(target->view_active());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Denial-of-service defenses (thesis Section 5.5): replay caches, request scheduling
-// fairness, bounded per-sequence-number log state, and bounded unauthenticated view-change
-// state.
+// fairness, bounded per-sequence-number log state, and bounded view-change and checkpoint
+// state, whatever a peer sends.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -219,6 +219,75 @@ TEST(DosTest, ForgedViewChangesRetainBoundedState) {
   EXPECT_TRUE(cluster.WaitForExecution(cluster.replica(1)->last_executed()));
   EXPECT_GE(target->view(), 1u);
   EXPECT_TRUE(target->Health().view_active);
+}
+
+TEST(DosTest, AcksForDistinctViewsRetainBoundedState) {
+  // A Byzantine replica holds real keys, so its VIEW-CHANGE-ACKs authenticate. Acks naming a
+  // new future view each must not each be kept: one ack per (acker, sender) survives.
+  Cluster cluster(Options(86), CounterFactory());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+
+  Replica* target = cluster.replica(0);
+  Replica* byzantine = cluster.replica(3);
+  int64_t live_before = g_live_bytes.load();
+  for (View v = 1; v <= 20000; ++v) {
+    ViewChangeAckMsg ack;
+    ack.view = v;
+    ack.replica = byzantine->id();
+    ack.vc_sender = 2;
+    ack.vc_digest = ComputeDigest(ToBytes("view-change " + std::to_string(v)));
+    ack.auth = byzantine->auth().GenAuthMulticast(ack.AuthContent(), nullptr);
+    target->OnMessage(MsgBuffer(EncodeTyped(ack)));
+  }
+  int64_t retained = g_live_bytes.load() - live_before;
+  EXPECT_LT(retained, 64 * 1024) << "acks retained " << retained << " bytes";
+
+  // A real view change still completes: with replica 0's sends muted the backups replace it
+  // as primary, and it follows them into the new view.
+  target->SetMute(true);
+  std::optional<Bytes> result =
+      cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(CounterService::DecodeValue(*result), 2u);
+  target->SetMute(false);
+  result = cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(CounterService::DecodeValue(*result), 3u);
+  EXPECT_TRUE(cluster.WaitForExecution(cluster.replica(1)->last_executed()));
+  EXPECT_GE(target->view(), 1u);
+  EXPECT_TRUE(target->Health().view_active);
+}
+
+TEST(DosTest, CheckpointsAboveTheWindowRetainBoundedState) {
+  // Authentic CHECKPOINTs for sequence numbers far past the log window, each a new one: above
+  // the high water mark a replica keeps only each sender's highest.
+  Cluster cluster(Options(87), CounterFactory());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+
+  Replica* target = cluster.replica(0);
+  Replica* byzantine = cluster.replica(3);
+  int64_t live_before = g_live_bytes.load();
+  for (SeqNo seq = 1000; seq < 21000; ++seq) {
+    CheckpointMsg cp;
+    cp.seq = seq;
+    cp.state_digest = ComputeDigest(ToBytes("state " + std::to_string(seq)));
+    cp.replica = byzantine->id();
+    cp.auth = byzantine->auth().GenAuthMulticast(cp.AuthContent(), nullptr);
+    target->OnMessage(MsgBuffer(EncodeTyped(cp)));
+  }
+  int64_t retained = g_live_bytes.load() - live_before;
+  EXPECT_LT(retained, 64 * 1024) << "checkpoints retained " << retained << " bytes";
+
+  // The group still commits, through a checkpoint of its own.
+  for (uint64_t i = 2; i <= 20; ++i) {
+    std::optional<Bytes> result =
+        cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(CounterService::DecodeValue(*result), i);
+  }
+  EXPECT_EQ(target->view(), 0u);
 }
 
 }  // namespace
