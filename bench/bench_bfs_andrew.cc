@@ -22,7 +22,6 @@ int main() {
   options.config.page_size = 1024;
   options.config.partition_branching = 16;
   options.config.checkpoint_period = 64;
-  options.config.log_size = 128;
 
   AndrewResult norep =
       RunAndrewUnreplicated(options.config, options.model, scale, options.seed);

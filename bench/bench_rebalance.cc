@@ -39,7 +39,6 @@ ShardedClusterOptions ShardOptions(uint64_t seed) {
   options.num_shards = kShards;
   options.seed = seed;
   options.config.checkpoint_period = 128;
-  options.config.log_size = 256;
   options.config.state_pages = 64;
   return options;
 }

@@ -17,7 +17,6 @@ struct RecoveryRun {
 RecoveryRun RunOne(SimTime watchdog_period, SimTime duration) {
   ClusterOptions options = BenchOptions(1100 + watchdog_period / kSecond);
   options.config.checkpoint_period = 32;
-  options.config.log_size = 64;
   options.config.proactive_recovery = watchdog_period != 0;
   options.config.watchdog_period = watchdog_period == 0 ? 3600 * kSecond : watchdog_period;
   options.config.key_refresh_period = 8 * kSecond;

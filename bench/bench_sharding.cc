@@ -23,7 +23,6 @@ ShardedClusterOptions ShardOptions(size_t shards, uint64_t seed) {
   options.num_shards = shards;
   options.seed = seed;
   options.config.checkpoint_period = 128;
-  options.config.log_size = 256;
   options.config.state_pages = 64;
   return options;
 }

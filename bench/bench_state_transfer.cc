@@ -48,7 +48,6 @@ int main() {
     options.config.state_pages = 2048;  // 8 MB state
     options.config.partition_branching = 16;
     options.config.checkpoint_period = 8;
-    options.config.log_size = 16;
     Cluster cluster(options,
                     [](NodeId) { return std::make_unique<PageWriterService>(); });
     Client* client = cluster.AddClient();

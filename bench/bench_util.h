@@ -22,7 +22,6 @@ inline ClusterOptions BenchOptions(uint64_t seed = 1000) {
   options.seed = seed;
   options.config.n = 4;
   options.config.checkpoint_period = 128;
-  options.config.log_size = 256;
   options.config.state_pages = 64;
   options.config.partition_branching = 16;
   return options;

@@ -41,9 +41,9 @@ struct ReplicaConfig {
   // BFT (MACs) vs BFT-PK (signatures).
   AuthMode auth_mode = AuthMode::kMac;
 
-  // Garbage collection (Section 2.3.4): checkpoints every K requests; log spans L = 2K.
+  // Garbage collection (Section 2.3.4): checkpoints every K requests; the log spans L = 2K.
   uint64_t checkpoint_period = 128;
-  uint64_t log_size = 256;
+  uint64_t log_size() const { return 2 * checkpoint_period; }
 
   // --- Optimizations (Section 5.1), all individually toggleable for the ablation bench ------
   bool tentative_execution = true;

@@ -36,6 +36,10 @@ Replica::Replica(std::unique_ptr<Endpoint> endpoint, const ReplicaConfig* config
       auth_(ep_->id(), config, model, directory, directory->Generate(ep_->id(), seed)),
       state_(config, model),
       rng_(seed ^ (ep_->id() * 0x9e3779b97f4a7c15ULL)),
+      log_(config->log_size(), LogEntry{.votes = std::vector<Votes>(config->n)}),
+      cp_slots_(config->log_size() / config->checkpoint_period + 1,
+                CheckpointSlot{std::vector<CheckpointVote>(config->n), std::nullopt, std::nullopt}),
+      cp_ahead_(config->n),
       vc_slots_(config->n, ViewChangeSlot(config->n)),
       vc_timeout_(config->view_change_timeout) {
   for (int i = 0; i < config_->n; ++i) {
@@ -254,7 +258,7 @@ void Replica::TrySendPrePrepare() {
     return;
   }
   while (!request_queue_.empty()) {
-    if (seqno_ >= low_ + config_->log_size) {
+    if (seqno_ >= low_ + config_->log_size()) {
       return;  // log full; wait for a checkpoint to become stable
     }
     if (seqno_ - last_exec_ >= kBatchWindow) {
@@ -364,11 +368,23 @@ void Replica::ProcessPendingPrePrepares() {
   }
 }
 
-Replica::Votes& Replica::VotesOf(LogEntry& entry, NodeId replica) {
-  if (entry.votes.empty()) {
-    entry.votes.resize(static_cast<size_t>(config_->n));
+Replica::LogEntry& Replica::Entry(SeqNo n, bool fresh) {
+  assert(InWatermarks(n));
+  LogEntry& entry = log_[n % log_.size()];
+  if (entry.seq != n || fresh) {
+    std::vector<Votes> votes = std::move(entry.votes);  // keeps its allocation for the next seq
+    std::ranges::fill(votes, Votes{});
+    entry = LogEntry{.seq = n, .votes = std::move(votes)};
   }
-  return entry.votes[static_cast<size_t>(config_->ReplicaIndex(replica))];
+  return entry;
+}
+
+void Replica::ClearLogAbove(SeqNo n) {
+  for (LogEntry& entry : log_) {
+    if (entry.seq > n) {
+      entry.seq = 0;
+    }
+  }
 }
 
 void Replica::RecordPeerVote(Vote& slot, View v, const Digest& d) {
@@ -534,11 +550,10 @@ void Replica::TryExecute() {
 
     // Promote tentatively executed batches whose commit certificates completed.
     while (true) {
-      auto it = log_.find(last_exec_ + 1);
-      if (it == log_.end() || !it->second.committed || !it->second.executed_tentative) {
+      LogEntry* next = FindEntry(last_exec_ + 1);
+      if (next == nullptr || !next->committed || !next->executed_tentative) {
         break;
       }
-      it->second.executed_committed = true;
       ++last_exec_;
       OnCheckpointCommitted(last_exec_);
       progress = true;
@@ -547,26 +562,22 @@ void Replica::TryExecute() {
     // Execute the next batch: committed batches always; prepared ones tentatively, provided all
     // earlier requests committed (Section 5.1.2).
     SeqNo n = last_tentative_exec_ + 1;
-    auto it = log_.find(n);
-    if (it == log_.end() || !it->second.pre_prepare.has_value()) {
+    LogEntry* entry = FindEntry(n);
+    if (entry == nullptr || !entry->pre_prepare.has_value() || entry->executed_tentative ||
+        !HavePayload(entry->d)) {
       continue;
     }
-    LogEntry& entry = it->second;
-    if (entry.executed_tentative || !HavePayload(entry.d)) {
-      continue;
-    }
-    if (entry.committed) {
-      ExecuteBatch(n, /*tentative=*/false);
-      entry.executed_tentative = true;
-      entry.executed_committed = true;
+    if (entry->committed) {
+      ExecuteBatch(n, entry->d, /*tentative=*/false);
+      entry->executed_tentative = true;
       last_tentative_exec_ = n;
       last_exec_ = n;
       MaybeTakeCheckpoint(n);
       OnCheckpointCommitted(n);
       progress = true;
-    } else if (entry.prepared && config_->tentative_execution && last_exec_ == n - 1) {
-      ExecuteBatch(n, /*tentative=*/true);
-      entry.executed_tentative = true;
+    } else if (entry->prepared && config_->tentative_execution && last_exec_ == n - 1) {
+      ExecuteBatch(n, entry->d, /*tentative=*/true);
+      entry->executed_tentative = true;
       last_tentative_exec_ = n;
       MaybeTakeCheckpoint(n);
       progress = true;
@@ -603,14 +614,13 @@ void Replica::TryExecute() {
   obs_.last_executed->Set(static_cast<int64_t>(last_exec_));
 }
 
-void Replica::ExecuteBatch(SeqNo n, bool tentative) {
-  LogEntry& entry = Entry(n);
+void Replica::ExecuteBatch(SeqNo n, const Digest& d, bool tentative) {
   ++stats_.batches_executed;
   obs_.batches_executed->Inc();
-  if (entry.is_null || entry.d == NullBatchDigest()) {
+  if (d == NullBatchDigest()) {
     return;  // null request: no-op (Section 2.3.5)
   }
-  const BatchPayload& payload = batch_store_.at(entry.d);
+  const BatchPayload& payload = batch_store_.at(d);
   // Recorded at execution (not at pre-prepare send) so backups report it too and a
   // re-executed batch after rollback counts each pass it actually ran.
   obs_.batch_size->Record(payload.requests.size());
@@ -730,138 +740,142 @@ void Replica::MaybeTakeCheckpoint(SeqNo n) {
   if (n % config_->checkpoint_period != 0) {
     return;
   }
-  Digest d = state_.TakeCheckpoint(n, EncodeLastReplies(), &cpu());
-  pending_checkpoint_digest_[n] = d;
+  CheckpointMsg& cp = CpSlot(n).pending.emplace();
+  cp.seq = n;
+  cp.state_digest = state_.TakeCheckpoint(n, EncodeLastReplies(), &cpu());
+  cp.replica = id();
   ++stats_.checkpoints_taken;
   obs_.checkpoints->Inc();
 }
 
+std::optional<CheckpointMsg> Replica::SendPendingCheckpoint(SeqNo n) {
+  std::optional<CheckpointMsg>& pending = CpSlot(n).pending;
+  if (!pending.has_value() || pending->seq != n) {
+    return std::nullopt;
+  }
+  AuthAndMulticast(*pending);
+  return std::exchange(pending, std::nullopt);
+}
+
 void Replica::OnCheckpointCommitted(SeqNo n) {
   // Checkpoint messages are only sent once the checkpoint batch commits (Section 5.1.2).
-  auto it = pending_checkpoint_digest_.find(n);
-  if (it == pending_checkpoint_digest_.end()) {
-    return;
+  CheckpointSlot& slot = CpSlot(n);
+  if (std::optional<CheckpointMsg> cp = SendPendingCheckpoint(n)) {
+    slot.votes[config_->ReplicaIndex(id())] = {n, cp->state_digest};
+    slot.own = std::move(cp);
+    TryStable(n);
   }
-  CheckpointMsg cp;
-  cp.seq = n;
-  cp.state_digest = it->second;
-  cp.replica = id();
-  AuthAndMulticast(cp);
-  checkpoint_msgs_[n][id()] = cp;
-  pending_checkpoint_digest_.erase(it);
-  TryStable(n);
 }
 
 void Replica::Handle(CheckpointMsg m) {
-  if (m.seq <= low_) {
+  // A correct replica checkpoints only at multiples of checkpoint_period. Above the high water
+  // mark only each sender's highest checkpoint is kept: enough for TryStable to see a quorum
+  // move past our log (Section 5.3.2), in space bounded by n.
+  if (m.seq <= low_ || m.seq % config_->checkpoint_period != 0 ||
+      !VerifyFromReplica(m.replica, m.AuthContent(), m.auth) ||
+      cp_ahead_[config_->ReplicaIndex(m.replica)].seq > m.seq) {
     return;
   }
-  if (!VerifyFromReplica(m.replica, m.AuthContent(), m.auth)) {
-    return;
-  }
-  // Above the high water mark only each sender's highest checkpoint is kept: enough for
-  // TryStable to see a quorum move past our log (Section 5.3.2), in space bounded by n.
-  for (auto it = checkpoint_msgs_.upper_bound(low_ + config_->log_size);
-       it != checkpoint_msgs_.end();) {
-    if (it->first > m.seq && it->second.count(m.replica) != 0) {
-      return;
-    }
-    if (it->first < m.seq) {
-      it->second.erase(m.replica);
-    }
-    it = it->second.empty() ? checkpoint_msgs_.erase(it) : std::next(it);
-  }
-  checkpoint_msgs_[m.seq][m.replica] = m;
+  size_t sender = config_->ReplicaIndex(m.replica);
+  CheckpointVote& vote =
+      m.seq <= low_ + config_->log_size() ? CpSlot(m.seq).votes[sender] : cp_ahead_[sender];
+  vote = {m.seq, m.state_digest};
   TryStable(m.seq);
 }
 
 void Replica::TryStable(SeqNo n) {
-  auto it = checkpoint_msgs_.find(n);
-  if (it == checkpoint_msgs_.end()) {
-    return;
-  }
   // The stable certificate is a quorum certificate in BFT (Section 3.2.3), so view changes can
   // reconstruct a weak certificate for it.
-  std::map<Digest, int> counts;
-  for (const auto& [r, cp] : it->second) {
-    ++counts[cp.state_digest];
-  }
-  for (const auto& [d, count] : counts) {
-    if (count < config_->quorum()) {
-      continue;
-    }
-    if (state_.HasCheckpoint(n) && state_.CheckpointDigest(n) == d) {
-      // The certificate proves every request up to n committed globally, and our state digest
-      // matches the quorum's, so any still-tentative prefix up to n is final.
-      if (n > last_exec_) {
-        for (auto it2 = log_.begin(); it2 != log_.end() && it2->first <= n; ++it2) {
-          it2->second.committed = true;
-          it2->second.executed_committed = it2->second.executed_tentative;
-        }
-        last_exec_ = n;
-        last_tentative_exec_ = std::max(last_tentative_exec_, n);
-        last_prepared_seq_ = std::max(last_prepared_seq_, n);
-      }
-      // Send our own (possibly still pending) checkpoint message before collecting.
-      auto pit = pending_checkpoint_digest_.find(n);
-      if (pit != pending_checkpoint_digest_.end()) {
-        CheckpointMsg cp;
-        cp.seq = n;
-        cp.state_digest = pit->second;
-        cp.replica = id();
-        AuthAndMulticast(cp);
-        pending_checkpoint_digest_.erase(pit);
-      }
-      if (n > low_) {
-        CollectGarbage(n);
-      }
-      TryExecute();
-    } else if (n > last_tentative_exec_) {
-      // We are behind a stable checkpoint. Peers garbage-collect their logs up to n the moment
-      // it becomes stable, so protocol messages for the gap may be gone — state transfer is
-      // the catch-up path (Section 5.3.2). A short grace period avoids a useless transfer
-      // when our own execution is just about to reach n.
-      if (n > observed_stable_seq_) {
-        observed_stable_seq_ = n;
-        observed_stable_digest_ = d;
-      }
-      if (n >= low_ + config_->log_size) {
-        MaybeStartStateTransfer(n, d);  // past our log: transfer unconditionally
-      } else if (!transfer_grace_pending_) {
-        transfer_grace_pending_ = true;
-        SetTimer(2 * config_->status_interval, [this]() {
-          transfer_grace_pending_ = false;
-          if (observed_stable_seq_ > last_exec_ &&
-              !state_.HasCheckpoint(observed_stable_seq_)) {
-            MaybeStartStateTransfer(observed_stable_seq_, observed_stable_digest_);
-          }
-        });
-      }
-    }
-    if (recovering_ && recovery_point_known_ && n >= recovery_point_ &&
-        state_.HasCheckpoint(n) && state_.CheckpointDigest(n) == d) {
-      CheckRecoveryComplete();
-    }
+  const std::vector<CheckpointVote>& votes =
+      n > low_ + config_->log_size() ? cp_ahead_ : CpSlot(n).votes;
+  auto stable = std::ranges::find_if(votes, [&](const CheckpointVote& vote) {
+    return vote.seq == n && std::ranges::count(votes, vote) >= config_->quorum();
+  });
+  if (stable == votes.end()) {
     return;
+  }
+  Digest d = stable->d;  // `votes` changes below
+  if (state_.HasCheckpoint(n) && state_.CheckpointDigest(n) == d) {
+    // The certificate proves every request up to n committed globally, and our state digest
+    // matches the quorum's, so any still-tentative prefix up to n is final.
+    if (n > last_exec_) {
+      for (LogEntry& entry : log_) {
+        entry.committed |= entry.seq <= n;
+      }
+      last_exec_ = n;
+      last_tentative_exec_ = std::max(last_tentative_exec_, n);
+      last_prepared_seq_ = std::max(last_prepared_seq_, n);
+    }
+    SendPendingCheckpoint(n);  // our own message, if still pending, goes out before collecting
+    if (n > low_) {
+      CollectGarbage(n);
+    }
+    TryExecute();
+  } else if (n > last_tentative_exec_) {
+    // We are behind a stable checkpoint. Peers garbage-collect their logs up to n the moment
+    // it becomes stable, so protocol messages for the gap may be gone — state transfer is
+    // the catch-up path (Section 5.3.2). A short grace period avoids a useless transfer
+    // when our own execution is just about to reach n.
+    if (n > observed_stable_seq_) {
+      observed_stable_seq_ = n;
+      observed_stable_digest_ = d;
+    }
+    if (n >= low_ + config_->log_size()) {
+      MaybeStartStateTransfer(n, d);  // past our log: transfer unconditionally
+    } else if (!transfer_grace_pending_) {
+      transfer_grace_pending_ = true;
+      SetTimer(2 * config_->status_interval, [this]() {
+        transfer_grace_pending_ = false;
+        if (observed_stable_seq_ > last_exec_ &&
+            !state_.HasCheckpoint(observed_stable_seq_)) {
+          MaybeStartStateTransfer(observed_stable_seq_, observed_stable_digest_);
+        }
+      });
+    }
+  }
+  if (recovering_ && recovery_point_known_ && n >= recovery_point_ &&
+      state_.HasCheckpoint(n) && state_.CheckpointDigest(n) == d) {
+    CheckRecoveryComplete();
+  }
+}
+
+void Replica::AdvanceLow(SeqNo new_low, bool drop_pending) {
+  low_ = new_low;
+  for (LogEntry& entry : log_) {
+    if (entry.seq <= new_low) {
+      entry.seq = 0;
+    }
+  }
+  for (CheckpointSlot& slot : cp_slots_) {
+    if (slot.pending.has_value() && (drop_pending || slot.pending->seq < new_low)) {
+      slot.pending.reset();
+    }
+  }
+  for (size_t i = 0; i < cp_ahead_.size(); ++i) {
+    CheckpointVote& ahead = cp_ahead_[i];
+    if (ahead.seq <= low_ + config_->log_size()) {
+      if (ahead.seq >= low_) {
+        CpSlot(ahead.seq).votes[i] = ahead;
+      }
+      ahead = {};
+    }
   }
 }
 
 void Replica::CollectGarbage(SeqNo new_low) {
-  low_ = new_low;
+  AdvanceLow(new_low);
   ++stats_.stable_checkpoints;
   obs_.stable_checkpoints->Inc();
-  log_.erase(log_.begin(), log_.lower_bound(new_low + 1));
-  checkpoint_msgs_.erase(checkpoint_msgs_.begin(), checkpoint_msgs_.lower_bound(new_low));
-  pending_checkpoint_digest_.erase(pending_checkpoint_digest_.begin(),
-                                   pending_checkpoint_digest_.lower_bound(new_low));
   state_.DiscardCheckpointsBelow(new_low);
   pq_.pset.erase(pq_.pset.begin(), pq_.pset.upper_bound(new_low));
   pq_.qset.erase(pq_.qset.begin(), pq_.qset.upper_bound(new_low));
 
   // Drop batch payloads no longer referenced by the log, and executed requests.
   std::set<Digest> keep = wanted_payloads_;
-  for (const auto& [seq, entry] : log_) {
-    keep.insert(entry.d);
+  for (const LogEntry& entry : log_) {
+    if (entry.seq != 0) {
+      keep.insert(entry.d);
+    }
   }
   for (auto it = batch_store_.begin(); it != batch_store_.end();) {
     if (keep.count(it->first) == 0) {
@@ -912,12 +926,12 @@ void Replica::ForceViewChange() { StartViewChange(view_ + 1); }
 
 std::vector<SeqObservation> Replica::CollectLogObservations(View leaving_view) const {
   std::vector<SeqObservation> out;
-  for (const auto& [seq, entry] : log_) {
-    if (!entry.pre_prepare.has_value() && !entry.is_null) {
+  for (const LogEntry& entry : log_) {
+    if (entry.seq == 0 || !entry.pre_prepare.has_value()) {
       continue;
     }
     SeqObservation obs;
-    obs.seq = seq;
+    obs.seq = entry.seq;
     obs.d = entry.d;
     obs.view = entry.pp_view;
     obs.pre_prepared = entry.sent_prepare || config_->PrimaryOf(entry.pp_view) == id();
@@ -959,33 +973,14 @@ void Replica::SendViewChange() {
   ViewChangeMsg vc;
   vc.view = view_;
   vc.h = low_;
-  for (SeqNo s = state_.OldestCheckpoint(); s <= state_.NewestCheckpoint();
-       s += config_->checkpoint_period) {
-    if (state_.HasCheckpoint(s)) {
-      vc.checkpoints.emplace_back(s, state_.CheckpointDigest(s));
-    }
-    if (config_->checkpoint_period == 0) {
-      break;
-    }
-  }
-  if (vc.checkpoints.empty() || vc.checkpoints.front().first != state_.OldestCheckpoint()) {
-    // Guard for non-aligned oldest checkpoints (e.g., after state transfer).
-    vc.checkpoints.clear();
-    vc.checkpoints.emplace_back(state_.OldestCheckpoint(),
-                                state_.CheckpointDigest(state_.OldestCheckpoint()));
-    for (SeqNo s = state_.OldestCheckpoint() + 1; s <= state_.NewestCheckpoint(); ++s) {
-      if (state_.HasCheckpoint(s)) {
-        vc.checkpoints.emplace_back(s, state_.CheckpointDigest(s));
-      }
-    }
-  }
+  vc.checkpoints = state_.Checkpoints();
   for (const auto& [seq, e] : pq_.pset) {
-    if (seq > low_ && seq <= low_ + config_->log_size) {
+    if (InWatermarks(seq)) {
       vc.p.push_back(e);
     }
   }
   for (const auto& [seq, dv] : pq_.qset) {
-    if (seq > low_ && seq <= low_ + config_->log_size) {
+    if (InWatermarks(seq)) {
       vc.q.push_back(ViewChangeMsg::QEntry{seq, dv});
     }
   }
@@ -1249,35 +1244,19 @@ void Replica::ProcessNewView(const NewViewMsg& nv, const std::map<NodeId, ViewCh
 
   // Abort uncommitted tentative execution: revert to the newest checkpoint at or below the
   // committed prefix and re-execute (Section 5.1.2).
-  if (last_tentative_exec_ > last_exec_) {
-    SeqNo target = state_.NewestCheckpoint();
-    while (target > last_exec_ && target > state_.OldestCheckpoint()) {
-      // Find a retained checkpoint not past the committed prefix.
-      SeqNo prev = state_.OldestCheckpoint();
-      for (SeqNo c = state_.OldestCheckpoint(); c <= last_exec_; ++c) {
-        if (state_.HasCheckpoint(c)) {
-          prev = std::max(prev, c);
-        }
+  std::optional<SeqNo> target = state_.NewestCheckpointAtOrBelow(last_exec_);
+  if (last_tentative_exec_ > last_exec_ && target.has_value()) {
+    DecodeLastReplies(state_.RollbackToCheckpoint(*target));
+    // Our checkpoints above target are gone; re-execution retakes each, pending digest included.
+    for (LogEntry& entry : log_) {
+      if (entry.seq > *target) {
+        entry.executed_tentative = false;
       }
-      target = prev;
-      break;
     }
-    if (target <= last_exec_ && state_.HasCheckpoint(target)) {
-      Bytes extra = state_.RollbackToCheckpoint(target);
-      DecodeLastReplies(extra);
-      for (auto& [seq, entry] : log_) {
-        if (seq > target) {
-          entry.executed_tentative = false;
-          entry.executed_committed = false;
-        }
-      }
-      last_exec_ = target;
-      last_tentative_exec_ = target;
-      pending_checkpoint_digest_.erase(pending_checkpoint_digest_.upper_bound(target),
-                                       pending_checkpoint_digest_.end());
-      ++stats_.rollbacks;
-      obs_.rollbacks->Inc();
-    }
+    last_exec_ = *target;
+    last_tentative_exec_ = *target;
+    ++stats_.rollbacks;
+    obs_.rollbacks->Inc();
   }
 
   // Adopt the chosen checkpoint if we are behind.
@@ -1294,7 +1273,7 @@ void Replica::ProcessNewView(const NewViewMsg& nv, const std::map<NodeId, ViewCh
     if (state_.HasCheckpoint(nv.min_s)) {
       CollectGarbage(nv.min_s);
     } else {
-      low_ = nv.min_s;
+      AdvanceLow(nv.min_s);
     }
   }
 
@@ -1313,28 +1292,23 @@ void Replica::InstallChosenBatches(const NewViewMsg& nv) {
     // The protocol is redone for every chosen sequence number — even ones this replica already
     // executed — so that lagging replicas can assemble fresh certificates in the new view.
     // Execution itself is not repeated (Section 2.3.5).
-    bool already_executed = seq <= last_exec_;
-    LogEntry fresh;
-    fresh.d = d;
-    fresh.pp_view = nv.view;
-    fresh.is_null = (d == NullBatchDigest());
-    // Execution flags are pre-set for the executed prefix, but prepared/committed are not:
+    LogEntry& entry = Entry(seq, /*fresh=*/true);
+    entry.d = d;
+    entry.pp_view = nv.view;
+    // The execution flag is pre-set for the executed prefix, but prepared/committed are not:
     // the certificates re-form in the new view so everyone (including laggards) collects them.
-    fresh.executed_tentative = already_executed;
-    fresh.executed_committed = already_executed;
-    PrePrepareMsg pp;
+    entry.executed_tentative = seq <= last_exec_;
+    PrePrepareMsg& pp = entry.pre_prepare.emplace();
     pp.view = nv.view;
     pp.seq = seq;
-    if (!fresh.is_null) {
+    if (d != NullBatchDigest()) {
       const BatchPayload& payload = batch_store_.at(d);
       pp.ndet = payload.ndet;
       for (const RequestMsg& req : payload.requests) {
         pp.inline_requests.push_back(req);
       }
     }
-    fresh.pre_prepare = std::move(pp);
-    fresh.sent_prepare = true;
-    LogEntry& entry = log_[seq] = std::move(fresh);
+    entry.sent_prepare = true;
 
     if (!is_new_primary) {
       SendOwnPrepare(entry, nv.view, seq, d);
@@ -1342,9 +1316,9 @@ void Replica::InstallChosenBatches(const NewViewMsg& nv) {
   }
   // Entries above the chosen range belong to dead views: they can never commit with their old
   // view number, and keeping them would stop the new primary from re-proposing their requests.
-  log_.erase(log_.upper_bound(std::max(max_chosen, last_exec_)), log_.end());
+  ClearLogAbove(std::max(max_chosen, last_exec_));
   if (is_new_primary) {
-    seqno_ = max_chosen;
+    seqno_ = std::max(max_chosen, low_);  // a stable checkpoint above the chosen range covers it
   }
 }
 
@@ -1363,8 +1337,8 @@ void Replica::EnterView() {
     // Requests already in a logged, unexecuted batch: each hashed once, not once per
     // pending request.
     std::unordered_set<Digest, DigestHasher> in_log;
-    for (const auto& [seq, entry] : log_) {
-      if (seq > last_exec_ && HavePayload(entry.d) && entry.d != NullBatchDigest()) {
+    for (const LogEntry& entry : log_) {
+      if (entry.seq > last_exec_ && HavePayload(entry.d) && entry.d != NullBatchDigest()) {
         for (const RequestMsg& r : batch_store_.at(entry.d).requests) {
           in_log.insert(r.RequestDigest());
         }
@@ -1428,18 +1402,15 @@ void Replica::SendStatus() {
   st.view_active = view_active_;
   st.last_stable = low_;
   st.last_exec = last_exec_;
-  size_t span = config_->log_size;
+  size_t span = config_->log_size();
   st.prepared_bits.assign((span + 7) / 8, 0);
   st.committed_bits.assign((span + 7) / 8, 0);
-  for (const auto& [seq, entry] : log_) {
-    if (seq <= low_ || seq > low_ + span) {
-      continue;
-    }
-    size_t bit = seq - low_ - 1;
-    if (entry.prepared) {
+  for (size_t bit = 0; bit < span; ++bit) {
+    const LogEntry* entry = FindEntry(low_ + 1 + bit);
+    if (entry != nullptr && entry->prepared) {
       st.prepared_bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
     }
-    if (entry.committed) {
+    if (entry != nullptr && entry->committed) {
       st.committed_bits[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
     }
   }
@@ -1500,45 +1471,43 @@ void Replica::Handle(StatusMsg m) {
   if (m.last_stable < low_) {
     // The peer is behind our stable checkpoint: resend our checkpoint message so it can
     // assemble the certificate and start state transfer if needed.
-    auto cit = checkpoint_msgs_.find(low_);
-    if (cit == checkpoint_msgs_.end()) {
-      // Our own message was garbage collected with the advance; regenerate it.
-      if (state_.HasCheckpoint(low_)) {
-        CheckpointMsg cp;
-        cp.seq = low_;
-        cp.state_digest = state_.CheckpointDigest(low_);
-        cp.replica = id();
-        AuthAndSend(peer, std::move(cp));
-      }
-    } else {
-      for (const auto& [r, cp] : cit->second) {
-        if (r == id()) {
-          ResendOwn(peer, cp);
-        }
-      }
+    const CheckpointSlot& slot = CpSlot(low_);
+    if (std::ranges::none_of(slot.votes, [&](const CheckpointVote& v) { return v.seq == low_; }) &&
+        state_.HasCheckpoint(low_)) {
+      // Nobody's message for low_ is held (ours included); regenerate ours.
+      CheckpointMsg cp;
+      cp.seq = low_;
+      cp.state_digest = state_.CheckpointDigest(low_);
+      cp.replica = id();
+      AuthAndSend(peer, std::move(cp));
+    } else if (slot.own.has_value() && slot.own->seq == low_) {
+      ResendOwn(peer, *slot.own);
     }
   }
 
-  // Retransmit per-sequence protocol messages the peer is missing.
-  for (const auto& [seq, entry] : log_) {
-    if (seq <= std::max(m.last_exec, m.last_stable) || seq > m.last_stable + config_->log_size) {
+  // Retransmit per-sequence protocol messages the peer is missing: those in our log above what
+  // it executed, up to its high water mark (`seq > from` stops a wrapped-around count).
+  SeqNo from = std::max(m.last_exec, m.last_stable);
+  for (SeqNo seq = from + 1; seq > from && seq <= m.last_stable + config_->log_size(); ++seq) {
+    const LogEntry* entry = FindEntry(seq);
+    if (entry == nullptr) {
       continue;
     }
-    size_t bit = seq > m.last_stable ? seq - m.last_stable - 1 : 0;
+    size_t bit = seq - m.last_stable - 1;
     bool peer_prepared = bit / 8 < m.prepared_bits.size() &&
                          ((m.prepared_bits[bit / 8] >> (bit % 8)) & 1) != 0;
     bool peer_committed = bit / 8 < m.committed_bits.size() &&
                           ((m.committed_bits[bit / 8] >> (bit % 8)) & 1) != 0;
-    if (!peer_prepared && entry.pre_prepare.has_value() && entry.pp_view == view_) {
+    if (!peer_prepared && entry->pre_prepare.has_value() && entry->pp_view == view_) {
       if (config_->PrimaryOf(view_) == id()) {
-        ResendOwn(peer, *entry.pre_prepare);
+        ResendOwn(peer, *entry->pre_prepare);
       }
-      if (entry.own_prepare.has_value()) {
-        ResendOwn(peer, *entry.own_prepare);
+      if (entry->own_prepare.has_value()) {
+        ResendOwn(peer, *entry->own_prepare);
       }
     }
-    if (!peer_committed && entry.own_commit.has_value()) {
-      ResendOwn(peer, *entry.own_commit);
+    if (!peer_committed && entry->own_commit.has_value()) {
+      ResendOwn(peer, *entry->own_commit);
     }
   }
 }

@@ -67,7 +67,7 @@ class Replica {
     h.view = view_;
     h.view_active = view_active_;
     h.last_stable = low_;
-    h.high_water = low_ + config_->log_size;
+    h.high_water = low_ + config_->log_size();
     h.last_executed = last_exec_;
     h.transfer_active = transfer_active_;
     return h;
@@ -126,22 +126,37 @@ class Replica {
     Vote prepare;
     Vote commit;
   };
+  // The log slot for one sequence number in the window (low_, low_ + log_size], at
+  // seq % log_size in log_. A slot holding any other sequence number reads as empty.
   struct LogEntry {
-    std::optional<PrePrepareMsg> pre_prepare;
-    Digest d;                 // batch digest of the accepted pre-prepare
+    SeqNo seq = 0;            // the sequence number the slot holds
+    std::optional<PrePrepareMsg> pre_prepare{};
+    Digest d{};               // batch digest of the accepted pre-prepare
     View pp_view = 0;         // view of the accepted pre-prepare
-    // The prepare and commit certificates, one slot per replica (by ReplicaIndex), sized on
-    // the first vote. A peer's first vote stands; this replica's own vote overwrites its slot.
-    std::vector<Votes> votes;
+    // The prepare and commit certificates, one slot per replica (by ReplicaIndex). A peer's
+    // first vote stands; this replica's own vote overwrites its slot.
+    std::vector<Votes> votes{};
     // This replica's own prepare and commit, authenticated, for status retransmission.
-    std::optional<PrepareMsg> own_prepare;
-    std::optional<CommitMsg> own_commit;
+    std::optional<PrepareMsg> own_prepare{};
+    std::optional<CommitMsg> own_commit{};
     bool sent_prepare = false;
     bool prepared = false;
     bool committed = false;
     bool executed_tentative = false;
-    bool executed_committed = false;
-    bool is_null = false;  // null request installed by a new-view
+  };
+  // One replica's CHECKPOINT: the sequence number and state digest it named (seq 0: none).
+  struct CheckpointVote {
+    SeqNo seq = 0;
+    Digest d;
+    bool operator==(const CheckpointVote&) const = default;
+  };
+  // The checkpoint certificate for one multiple of checkpoint_period in [low_, low_ + log_size],
+  // at (seq / checkpoint_period) % size in cp_slots_. Everything in it names its sequence
+  // number, so what a slot kept for an earlier one never counts for the current one.
+  struct CheckpointSlot {
+    std::vector<CheckpointVote> votes;     // by ReplicaIndex: each replica's latest CHECKPOINT
+    std::optional<CheckpointMsg> own;      // ours, authenticated, for status retransmission
+    std::optional<CheckpointMsg> pending;  // ours, awaiting the checkpoint batch's commit
   };
 
   // --- Message handlers: one overload per message type, called by std::visit -----------------
@@ -169,13 +184,25 @@ class Replica {
   void Handle(ReplyStableMsg m);
 
   // --- Normal case -------------------------------------------------------------------------------
-  bool InWatermarks(SeqNo n) const { return n > low_ && n <= low_ + config_->log_size; }
-  LogEntry& Entry(SeqNo n) { return log_[n]; }
+  bool InWatermarks(SeqNo n) const { return n > low_ && n <= low_ + config_->log_size(); }
+  // The log slot for n, emptied first if it held another sequence number (or if `fresh`).
+  LogEntry& Entry(SeqNo n, bool fresh = false);
+  LogEntry* FindEntry(SeqNo n) {
+    LogEntry& entry = log_[n % log_.size()];
+    return entry.seq == n ? &entry : nullptr;
+  }
+  // Empties the log slots above n.
+  void ClearLogAbove(SeqNo n);
+  CheckpointSlot& CpSlot(SeqNo n) {
+    return cp_slots_[n / config_->checkpoint_period % cp_slots_.size()];
+  }
   void TrySendPrePrepare();
   bool BatchRequestsAvailable(const PrePrepareMsg& pp) const;
   // `d` is pp.BatchDigest(), computed once by the caller.
   void AcceptPrePrepare(const PrePrepareMsg& pp, const Digest& d);
-  Votes& VotesOf(LogEntry& entry, NodeId replica);
+  Votes& VotesOf(LogEntry& entry, NodeId replica) {
+    return entry.votes[config_->ReplicaIndex(replica)];
+  }
   // Records a peer's prepare or commit in its slot; a repeat is counted as a duplicate.
   void RecordPeerVote(Vote& slot, View v, const Digest& d);
   // Votes in `entry` naming `d` (and view `v`, if given) in the Votes member `kind`.
@@ -186,7 +213,7 @@ class Replica {
   void TryPrepared(SeqNo n);
   void TryCommitted(SeqNo n);
   void TryExecute();
-  void ExecuteBatch(SeqNo n, bool tentative);
+  void ExecuteBatch(SeqNo n, const Digest& d, bool tentative);
   // Executes `req` in the service, or answers it with the admin ACL's denial.
   Bytes RunOp(const RequestMsg& req, ByteView ndet, bool read_only);
   // Digests `result`, charges the digest, and sends the reply: in full, or digest-only when
@@ -194,8 +221,13 @@ class Replica {
   // full reply for retransmission (ordered requests only).
   void SendReply(const RequestMsg& req, Bytes result, bool tentative, bool cache);
   void MaybeTakeCheckpoint(SeqNo n);
+  // Authenticates and multicasts our CHECKPOINT for n if its digest awaits the commit.
+  std::optional<CheckpointMsg> SendPendingCheckpoint(SeqNo n);
   void OnCheckpointCommitted(SeqNo n);
   void TryStable(SeqNo n);
+  // Moves low_ to new_low, emptying the slots it passes (`drop_pending`: all our pending
+  // checkpoints); senders' CHECKPOINTs above the old window that fall in the new one join it.
+  void AdvanceLow(SeqNo new_low, bool drop_pending = false);
   void CollectGarbage(SeqNo new_low);
   Bytes EncodeLastReplies() const;
   void DecodeLastReplies(ByteView raw);
@@ -360,7 +392,7 @@ class Replica {
   SeqNo last_exec_ = 0;      // last committed-and-executed sequence number
   SeqNo last_tentative_exec_ = 0;
   SeqNo last_prepared_seq_ = 0;  // highest sequence number ever prepared here
-  std::map<SeqNo, LogEntry> log_;
+  std::vector<LogEntry> log_;    // log_size slots, by seq % log_size
 
   // Request buffering.
   std::unordered_map<Digest, RequestMsg, DigestHasher> requests_;
@@ -374,9 +406,10 @@ class Replica {
   // Exactly-once semantics: last reply sent to each client.
   std::map<NodeId, ReplyMsg> last_reply_;
 
-  // Checkpoint certificates up to the high water mark; above it, each sender's highest only.
-  std::map<SeqNo, std::map<NodeId, CheckpointMsg>> checkpoint_msgs_;
-  std::map<SeqNo, Digest> pending_checkpoint_digest_;  // our own digests awaiting commit
+  // Checkpoint certificates: log_size / checkpoint_period + 1 slots from low_ to the high water
+  // mark; above it, each sender's highest CHECKPOINT only (by ReplicaIndex).
+  std::vector<CheckpointSlot> cp_slots_;
+  std::vector<CheckpointVote> cp_ahead_;
 
   // View-change state.
   PqState pq_;

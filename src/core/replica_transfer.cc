@@ -272,13 +272,11 @@ void Replica::FinishStateTransfer() {
 
   // Adopt the fetched checkpoint: it is stable (it had a quorum certificate).
   DecodeLastReplies(transfer_extra_);
-  low_ = transfer_target_;
+  AdvanceLow(transfer_target_, /*drop_pending=*/true);
   last_exec_ = transfer_target_;
   last_tentative_exec_ = transfer_target_;
   last_prepared_seq_ = std::max(last_prepared_seq_, transfer_target_);
   seqno_ = std::max(seqno_, transfer_target_);
-  log_.erase(log_.begin(), log_.upper_bound(transfer_target_));
-  pending_checkpoint_digest_.clear();
   pending_pps_.clear();
   BFT_INFO("replica " << id() << ": state transfer to seq " << transfer_target_ << " complete ("
                       << stats_.pages_fetched << " pages fetched total)");
@@ -440,9 +438,8 @@ void Replica::RecomputeEstimation() {
       }
     }
     if (c_ok >= 2 * config_->f() && p_ok >= config_->f()) {
-      recovery_max_seq_ = candidate + config_->log_size;  // Hm = c_m + L
-      // Discard any log entries above the bound: they may be corrupt.
-      log_.erase(log_.upper_bound(recovery_max_seq_), log_.end());
+      recovery_max_seq_ = candidate + config_->log_size();  // Hm = c_m + L
+      ClearLogAbove(recovery_max_seq_);  // entries above the bound may be corrupt
       recovery_estimating_ = false;
       SendRecoveryRequest();
       return;
@@ -510,7 +507,7 @@ void Replica::Handle(ReplyMsg m) {
       return;
     }
     SeqNo k = config_->checkpoint_period;
-    SeqNo hl = ((l + k - 1) / k) * k + config_->log_size;
+    SeqNo hl = ((l + k - 1) / k) * k + config_->log_size();
     recovery_point_ = std::max(recovery_max_seq_, hl);
     recovery_point_known_ = true;
 

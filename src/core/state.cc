@@ -197,6 +197,22 @@ SeqNo ReplicaState::OldestCheckpoint() const {
   return checkpoints_.empty() ? 0 : checkpoints_.begin()->first;
 }
 
+std::optional<SeqNo> ReplicaState::NewestCheckpointAtOrBelow(SeqNo seq) const {
+  auto it = checkpoints_.upper_bound(seq);
+  if (it == checkpoints_.begin()) {
+    return std::nullopt;
+  }
+  return std::prev(it)->first;
+}
+
+std::vector<std::pair<SeqNo, Digest>> ReplicaState::Checkpoints() const {
+  std::vector<std::pair<SeqNo, Digest>> out;
+  for (const auto& [seq, record] : checkpoints_) {
+    out.emplace_back(seq, record.full_digest);
+  }
+  return out;
+}
+
 void ReplicaState::DiscardCheckpointsBelow(SeqNo keep_from) {
   while (!checkpoints_.empty() && checkpoints_.begin()->first < keep_from) {
     auto oldest = checkpoints_.begin();

@@ -71,6 +71,10 @@ class ReplicaState {
   Bytes CheckpointExtra(SeqNo seq) const;
   SeqNo NewestCheckpoint() const;
   SeqNo OldestCheckpoint() const;
+  // The newest retained checkpoint at or below `seq`, if any.
+  std::optional<SeqNo> NewestCheckpointAtOrBelow(SeqNo seq) const;
+  // Every retained checkpoint with its full digest, oldest first (a VIEW-CHANGE's C set).
+  std::vector<std::pair<SeqNo, Digest>> Checkpoints() const;
 
   // Discards checkpoints with seq < keep_from, merging their entries forward so the oldest
   // retained checkpoint remains a full snapshot.

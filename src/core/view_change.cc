@@ -85,7 +85,7 @@ ViewChangeDecision RunDecisionProcedure(
       max_n = std::max(max_n, e.seq);
     }
   }
-  max_n = std::min<SeqNo>(max_n, out.min_s + config.log_size);
+  max_n = std::min<SeqNo>(max_n, out.min_s + config.log_size());
 
   bool all_decided = true;
   for (SeqNo n = out.min_s + 1; n <= max_n; ++n) {

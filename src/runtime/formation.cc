@@ -140,15 +140,17 @@ void FormationTransport::AppendFrameLocked(NodeId src, SourceState& state, NodeI
 }
 
 void FormationTransport::FoldMulticastsLocked(NodeId src, SourceState& state) {
-  for (PendingMulticast& m : state.multicasts) {
+  for (size_t i = 0; i < state.num_multicasts; ++i) {
+    PendingMulticast& m = state.multicasts[i];
     for (NodeId dst : m.dsts) {
       if (dst == src) {
         continue;
       }
       AppendFrameLocked(src, state, dst, m.message, obs_.flush_size);
     }
+    m.message = MsgBuffer();  // the queued frames hold their own references
   }
-  state.multicasts.clear();
+  state.num_multicasts = 0;
 }
 
 void FormationTransport::EmitQueueLocked(NodeId src, NodeId dst, PerDst& queue,
@@ -197,8 +199,13 @@ void FormationTransport::Multicast(NodeId src, const std::vector<NodeId>& dsts,
   // Queued whole, not per destination: if this iteration produces nothing else, Flush hands
   // the multicast to the inner transport's batched fan-out (one sendmmsg, one shared
   // buffer). Only when other traffic is packing does it fold into the per-peer datagrams.
-  state.multicasts.push_back(PendingMulticast{dsts, message});
-  if (state.multicasts.size() >= options_.max_frames) {
+  if (state.num_multicasts == state.multicasts.size()) {
+    state.multicasts.emplace_back();
+  }
+  PendingMulticast& m = state.multicasts[state.num_multicasts++];
+  m.dsts.assign(dsts.begin(), dsts.end());
+  m.message = message;
+  if (state.num_multicasts >= options_.max_frames) {
     FoldMulticastsLocked(src, state);
   }
 }
@@ -217,16 +224,17 @@ void FormationTransport::Flush(NodeId src) {
       break;
     }
   }
-  if (queues_empty && state.multicasts.size() == 1) {
+  if (queues_empty && state.num_multicasts == 1) {
     // Idle fast path: the iteration produced exactly one multicast and nothing else — the
     // dominant shape at low load (a pre-prepare, a prepare, a commit). Hand it to the inner
     // fan-out unframed, preserving the single-syscall shared-buffer path.
-    PendingMulticast m = std::move(state.multicasts.front());
-    state.multicasts.clear();
+    PendingMulticast& m = state.multicasts.front();
+    state.num_multicasts = 0;
     obs_.frames_per_datagram->Record(1);
     obs_.passthrough_multicast->Inc();
     inner_->Multicast(src, m.dsts, m.message);
-  } else if (!queues_empty || !state.multicasts.empty()) {
+    m.message = MsgBuffer();
+  } else if (!queues_empty || state.num_multicasts != 0) {
     FoldMulticastsLocked(src, state);
     for (auto& [dst, queue] : state.queues) {
       EmitQueueLocked(src, dst, queue, obs_.flush_idle);

@@ -108,7 +108,10 @@ class FormationTransport final : public Transport {
   };
   struct SourceState {
     std::map<NodeId, PerDst> queues;  // entries persist across flushes; empty ones are skipped
+    // The first num_multicasts entries are queued. Entries persist across flushes too, so a
+    // steady-state multicast reuses one's destination list instead of allocating.
     std::vector<PendingMulticast> multicasts;
+    size_t num_multicasts = 0;
   };
 
   // Decodes formed datagrams into per-frame slices before the real sink sees them.

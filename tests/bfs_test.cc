@@ -300,7 +300,6 @@ TEST(BfsReplicatedTest, EndToEndFileWorkflow) {
   options.config.state_pages = 64;
   options.config.page_size = 1024;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.partition_branching = 8;
   Cluster cluster(options, [](NodeId) { return std::make_unique<BfsService>(); });
   Client* client = cluster.AddClient();
@@ -339,7 +338,6 @@ TEST(BfsReplicatedTest, SurvivesPrimaryFailureMidWorkload) {
   options.config.state_pages = 64;
   options.config.page_size = 1024;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.partition_branching = 8;
   Cluster cluster(options, [](NodeId) { return std::make_unique<BfsService>(); });
   Client* client = cluster.AddClient();

@@ -24,7 +24,6 @@ TEST_P(ChaosTest, ConvergenceAndExactlyOnceUnderRandomFaults) {
   options.seed = seed;
   options.config.n = 4;
   options.config.checkpoint_period = 16;
-  options.config.log_size = 32;
   options.config.state_pages = 64;
   options.config.partition_branching = 8;
   Cluster cluster(options, [](NodeId) { return std::make_unique<KvService>(); });

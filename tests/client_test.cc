@@ -13,7 +13,6 @@ ClusterOptions Options(uint64_t seed) {
   ClusterOptions options;
   options.seed = seed;
   options.config.checkpoint_period = 16;
-  options.config.log_size = 32;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   return options;

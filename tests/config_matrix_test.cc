@@ -40,7 +40,6 @@ TEST_P(ConfigMatrixTest, CorrectUnderFaultAndLoad) {
   options.config.batching = p.batching;
   options.config.read_only_optimization = p.read_only_opt;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   Cluster cluster(options, [](NodeId) { return std::make_unique<CounterService>(); });
@@ -48,11 +47,12 @@ TEST_P(ConfigMatrixTest, CorrectUnderFaultAndLoad) {
   // One Byzantine-silent replica (within the fault budget for every n here).
   cluster.replica(p.n - 1)->SetMute(true);
 
-  // Two interleaved clients; sequential ops must be exactly-once whatever the config.
+  // Two interleaved clients; sequential ops must be exactly-once whatever the config. Forty
+  // ops, one sequence number each, run the log window (log_size() = 16) around twice.
   Client* a = cluster.AddClient();
   Client* b = cluster.AddClient();
   uint64_t expected = 0;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 40; ++i) {
     Client* c = (i % 2 == 0) ? a : b;
     std::optional<Bytes> result =
         cluster.Execute(c, CounterService::IncOp(), false, 120 * kSecond);
@@ -64,6 +64,7 @@ TEST_P(ConfigMatrixTest, CorrectUnderFaultAndLoad) {
       cluster.Execute(a, CounterService::GetOp(), /*read_only=*/true, 120 * kSecond);
   ASSERT_TRUE(value.has_value());
   EXPECT_EQ(CounterService::DecodeValue(*value), expected);
+  EXPECT_GE(cluster.replica(0)->low_water(), 2 * options.config.log_size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -39,7 +39,6 @@ ClusterOptions Options(uint64_t seed) {
   ClusterOptions options;
   options.seed = seed;
   options.config.checkpoint_period = 16;
-  options.config.log_size = 32;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   return options;
@@ -132,13 +131,11 @@ TEST(DosTest, SpammingClientDoesNotStarveOthers) {
 }
 
 TEST(DosTest, LogStateBoundedPerSequenceNumber) {
-  // A Byzantine replica sending many conflicting prepares for the same (view, seq) must not
-  // grow a log entry without bound: one prepare per replica is retained.
+  // Replayed prepares and commits for the same (view, seq) must not grow a log entry: its
+  // votes hold one slot per replica, and a peer's first vote stands.
   Cluster cluster(Options(83), CounterFactory());
   Client* client = cluster.AddClient();
   ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
-  // (Structural property: LogEntry::prepares is keyed by replica id, so the bound holds by
-  // construction; this test documents it by hammering duplicates through the wire.)
   std::vector<Bytes> captured;
   cluster.net().SetFilter([&captured](NodeId src, NodeId dst, const Bytes& msg) {
     if (src == 2 && dst == 0) {
@@ -148,16 +145,70 @@ TEST(DosTest, LogStateBoundedPerSequenceNumber) {
   });
   ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
   cluster.net().SetFilter(nullptr);
+  int64_t live_before = g_live_bytes.load();
   for (int i = 0; i < 100; ++i) {
     for (const Bytes& wire : captured) {
       cluster.net().Send(9999, 0, wire, cluster.sim().Now());
     }
   }
   cluster.sim().RunFor(kSecond);
+  int64_t retained = g_live_bytes.load() - live_before;
+  EXPECT_LT(retained, 64 * 1024) << "replayed votes retained " << retained << " bytes";
   // The group still functions normally afterwards.
   std::optional<Bytes> result = cluster.Execute(client, CounterService::IncOp());
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(CounterService::DecodeValue(*result), 3u);
+}
+
+TEST(DosTest, VotesForEveryWindowSlotRetainBoundedState) {
+  // Authentic PREPAREs, COMMITs and CHECKPOINTs for every sequence number in the log window,
+  // each round naming new digests: the window's slots keep one vote per replica, and a
+  // CHECKPOINT off a multiple of checkpoint_period (no correct replica sends one) is dropped.
+  // A 256-slot window: state allocated per sequence number would exceed the bound.
+  ClusterOptions options = Options(88);
+  options.config.checkpoint_period = 128;
+  Cluster cluster(options, CounterFactory());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+
+  Replica* target = cluster.replica(0);
+  Replica* byzantine = cluster.replica(3);
+  int64_t live_before = g_live_bytes.load();
+  for (int round = 0; round < 20; ++round) {
+    for (SeqNo seq = target->low_water() + 1; seq <= target->Health().high_water; ++seq) {
+      Digest d = ComputeDigest(ToBytes("round " + std::to_string(round) + " seq " +
+                                       std::to_string(seq)));
+      PrepareMsg prepare;
+      prepare.seq = seq;
+      prepare.batch_digest = d;
+      prepare.replica = byzantine->id();
+      prepare.auth = byzantine->auth().GenAuthMulticast(prepare.AuthContent(), nullptr);
+      target->OnMessage(MsgBuffer(EncodeTyped(prepare)));
+      CommitMsg commit;
+      commit.seq = seq;
+      commit.batch_digest = d;
+      commit.replica = byzantine->id();
+      commit.auth = byzantine->auth().GenAuthMulticast(commit.AuthContent(), nullptr);
+      target->OnMessage(MsgBuffer(EncodeTyped(commit)));
+      CheckpointMsg cp;
+      cp.seq = seq;
+      cp.state_digest = d;
+      cp.replica = byzantine->id();
+      cp.auth = byzantine->auth().GenAuthMulticast(cp.AuthContent(), nullptr);
+      target->OnMessage(MsgBuffer(EncodeTyped(cp)));
+    }
+  }
+  int64_t retained = g_live_bytes.load() - live_before;
+  EXPECT_LT(retained, 64 * 1024) << "window votes retained " << retained << " bytes";
+
+  // The group still commits, without replica 3's poisoned votes.
+  for (uint64_t i = 2; i <= 20; ++i) {
+    std::optional<Bytes> result =
+        cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(CounterService::DecodeValue(*result), i);
+  }
+  EXPECT_EQ(target->view(), 0u);
 }
 
 TEST(DosTest, GarbageFloodDoesNotCrashOrStall) {

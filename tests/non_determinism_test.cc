@@ -14,7 +14,6 @@ ClusterOptions Options(uint64_t seed) {
   options.config.state_pages = 64;
   options.config.page_size = 1024;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.partition_branching = 8;
   return options;
 }

@@ -16,7 +16,6 @@ ClusterOptions SmallCluster(uint64_t seed = 1) {
   options.seed = seed;
   options.config.n = 4;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   return options;

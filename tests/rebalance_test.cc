@@ -24,7 +24,6 @@ ShardedClusterOptions Options(size_t shards, uint64_t seed) {
   options.num_shards = shards;
   options.seed = seed;
   options.config.checkpoint_period = 32;
-  options.config.log_size = 64;
   options.config.state_pages = 64;
   return options;
 }

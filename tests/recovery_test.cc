@@ -13,7 +13,6 @@ ClusterOptions RecoveryCluster(uint64_t seed) {
   options.seed = seed;
   options.config.n = 4;
   options.config.checkpoint_period = 4;
-  options.config.log_size = 8;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   options.config.proactive_recovery = true;

@@ -224,7 +224,6 @@ TEST(RtFaultTest, RestartedReplicaRejoinsViaStateTransfer) {
   options.config.n = 4;
   options.config.state_pages = 64;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   // Generous fault timers: this test is about rejoin, not view changes, and a spurious
   // view change on a loaded CI machine would only add noise.
   options.config.view_change_timeout = 10 * kSecond;

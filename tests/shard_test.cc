@@ -16,7 +16,6 @@ ShardedClusterOptions Options(size_t shards, uint64_t seed) {
   options.num_shards = shards;
   options.seed = seed;
   options.config.checkpoint_period = 32;
-  options.config.log_size = 64;
   options.config.state_pages = 64;
   return options;
 }
@@ -194,7 +193,6 @@ TEST(ShardedClusterTest, SingleShardMatchesClusterBitForBit) {
   ClusterOptions cluster_options;
   cluster_options.seed = kSeed;
   cluster_options.config.checkpoint_period = 32;
-  cluster_options.config.log_size = 64;
   cluster_options.config.state_pages = 64;
   Cluster single(cluster_options, [](NodeId) { return std::make_unique<KvService>(); });
   Client* single_client = single.AddClient();

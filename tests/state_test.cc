@@ -232,6 +232,19 @@ TEST(StateTest, ManyCheckpointsBoundedHistoryAfterDiscard) {
   EXPECT_EQ(f.state.NewestCheckpoint(), 80u);
 }
 
+TEST(StateTest, NewestCheckpointAtOrBelowSkipsDiscardedAndNewer) {
+  StateFixture f;
+  for (SeqNo seq = 8; seq <= 32; seq += 8) {
+    f.state.Write(seq, ToBytes("v"));
+    f.state.TakeCheckpoint(seq, ToBytes("e"), nullptr);
+  }
+  f.state.DiscardCheckpointsBelow(16);
+  EXPECT_EQ(f.state.NewestCheckpointAtOrBelow(15), std::nullopt);  // 0 and 8 are gone
+  EXPECT_EQ(f.state.NewestCheckpointAtOrBelow(16), 16u);
+  EXPECT_EQ(f.state.NewestCheckpointAtOrBelow(31), 24u);
+  EXPECT_EQ(f.state.NewestCheckpointAtOrBelow(1000), 32u);
+}
+
 class StateParamTest : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(StateParamTest, TransferRoundTripAcrossGeometries) {

@@ -15,7 +15,6 @@ ClusterOptions SmallCluster(uint64_t seed = 1) {
   options.seed = seed;
   options.config.n = 4;
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   options.config.state_pages = 16;
   options.config.partition_branching = 4;
   return options;
@@ -103,7 +102,7 @@ ViewChangeMsg Vc(NodeId replica, SeqNo h, std::vector<std::pair<SeqNo, Digest>> 
 ReplicaConfig Cfg4() {
   ReplicaConfig config;
   config.n = 4;
-  config.log_size = 16;
+  config.checkpoint_period = 8;  // log_size() = 16 bounds the decision range
   return config;
 }
 

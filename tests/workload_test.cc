@@ -14,7 +14,6 @@ ClusterOptions Options(uint64_t seed) {
   ClusterOptions options;
   options.seed = seed;
   options.config.checkpoint_period = 32;
-  options.config.log_size = 64;
   options.config.state_pages = 64;
   return options;
 }
@@ -119,7 +118,6 @@ TEST_P(KvSweepTest, ManyKeysSurviveCheckpointingAndReads) {
   int keys = GetParam();
   ClusterOptions options = Options(75 + static_cast<uint64_t>(keys));
   options.config.checkpoint_period = 8;
-  options.config.log_size = 16;
   Cluster cluster(options, [](NodeId) { return std::make_unique<KvService>(); });
   Client* client = cluster.AddClient();
   for (int i = 0; i < keys; ++i) {

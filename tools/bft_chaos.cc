@@ -64,7 +64,6 @@ RtClusterOptions ChaosOptions(RtClusterOptions::TransportKind transport, bool fo
   // Small checkpoint period / log: crash-and-restart must outrun the log so rejoin exercises
   // state transfer, not just retransmission.
   options.config.checkpoint_period = 16;
-  options.config.log_size = 32;
   // Fault timers sized for chaos: view changes within a few hundred ms of a dead primary,
   // but far above loopback latency so a healthy run stays in view 0.
   options.config.view_change_timeout = 400 * kMillisecond;
